@@ -22,9 +22,10 @@
 //!   static plan, confidence-threshold early exit, random-search EINet,
 //!   classic single-exit, compressed single-exit, and the no-skip multi-exit
 //!   network.
-//! * [`ElasticRuntime`] — the simulated-clock executor that plays inference
-//!   timelines against random kill times and scores outcomes
-//!   ([`ElasticOutcome`]).
+//! * [`step_plan`] — the Section V online loop, written once over a
+//!   [`PlanMachine`]; [`ElasticRuntime`] is the simulated-clock machine that
+//!   plays inference timelines against random kill times and scores
+//!   outcomes ([`ElasticOutcome`]), `einet-edge` supplies the live one.
 //! * [`eval`] — overall-accuracy evaluation harnesses used by every
 //!   experiment binary.
 //! * [`BatchGainModel`] — the online service-time/arrival cost model behind
@@ -50,6 +51,6 @@ pub use planner::{
     AllExitsPlanner, ClassicPlanner, ConfidenceThresholdPlanner, EinetPlanner, PlanContext,
     Planner, PlannerDecision, ProfilePriorPlanner, RandomSearchPlanner, StaticPlanner,
 };
-pub use runtime::{ElasticOutcome, ElasticRuntime, SampleTable};
+pub use runtime::{step_plan, ElasticOutcome, ElasticRuntime, PlanMachine, SampleTable};
 pub use search::{CacheStats, ExpectationCache, SearchEngine};
 pub use time_dist::TimeDistribution;

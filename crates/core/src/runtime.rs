@@ -1,10 +1,14 @@
 //! The elastic-inference runtime (Section V).
 //!
-//! A simulated-clock executor: conv parts always advance the clock, branches
-//! only when the current plan executes them, and an unpredictable kill time
-//! cuts the timeline. This mirrors the paper's evaluation methodology, which
-//! draws a random inference deadline per sample and scores the last result
-//! produced before it.
+//! [`step_plan`] is the online loop, written once: conv parts always
+//! advance, branches run only when the current plan executes them, the
+//! planner re-plans after every output, and a cut keeps the last
+//! checkpoint. It drives a [`PlanMachine`] that only knows how to run one
+//! step; the live executors in `einet-edge` are one such machine, and
+//! [`ElasticRuntime`] is the other — a simulated clock cut by an
+//! unpredictable kill time. The latter mirrors the paper's evaluation
+//! methodology, which draws a random inference deadline per sample and
+//! scores the last result produced before it.
 //!
 //! Because profiling already captured each exit's prediction and confidence
 //! for every test sample ([`SampleTable`]), the simulation never re-runs the
@@ -126,7 +130,8 @@ impl<'a> ElasticRuntime<'a> {
         self.dist
     }
 
-    /// Runs one sample against one kill time under `planner`.
+    /// Runs one sample against one kill time under `planner`: the shared
+    /// [`step_plan`] loop over a virtual-clock machine.
     ///
     /// # Panics
     ///
@@ -137,105 +142,178 @@ impl<'a> ElasticRuntime<'a> {
         planner: &mut dyn Planner,
         kill_ms: f64,
     ) -> ElasticOutcome {
-        let n = self.et.num_exits();
-        assert_eq!(table.num_exits(), n, "sample/profile exit count mismatch");
+        assert_eq!(
+            table.num_exits(),
+            self.et.num_exits(),
+            "sample/profile exit count mismatch"
+        );
         planner.reset();
-        let conv = self.et.conv_ms();
-        let branch = self.et.branch_ms();
-        let mut executed: Vec<Option<f32>> = vec![None; n];
-        let mut history = ExitPlan::empty(n);
-        let mut t = 0.0_f64;
-        let mut last: Option<EmittedOutput> = None;
-        let mut outputs = 0usize;
-        let outcome = |last: Option<EmittedOutput>, outputs: usize, finished: bool| {
-            let correct = last.is_some_and(|o| o.predicted == table.label);
-            ElasticOutcome {
-                last,
-                correct,
-                outputs,
-                finished,
-                kill_ms,
-            }
+        let mut sim = SimMachine {
+            rt: self,
+            table,
+            kill_ms,
+            t: 0.0,
+            executed: vec![None; table.num_exits()],
+            last: None,
+            outputs: 0,
         };
-        let mut plan = {
-            let ctx = PlanContext {
-                et: self.et,
-                dist: self.dist,
-                executed: &executed,
-                history: &history,
-                next_exit: 0,
-            };
-            let _replan = trace::span_args(Category::Replan, "initial_plan", Args::none());
-            match planner.plan(&ctx) {
-                PlannerDecision::Plan(p) => {
-                    assert_eq!(p.len(), n, "planner returned wrong plan length");
-                    p
-                }
-                PlannerDecision::Stop => return outcome(None, 0, true),
-            }
-        };
-        for i in 0..n {
-            // The span's wall time is the planner-free simulation cost of
-            // this block; the simulated clock rides along in the args.
-            let block_span = trace::span_args(
-                Category::Block,
-                "sim_block",
-                Args::two("exit", i as u64, "sim_us", (t * 1_000.0) as u64),
-            );
-            t += conv[i];
-            if t > kill_ms {
-                return outcome(last, outputs, false);
-            }
-            if !plan.get(i) {
-                continue;
-            }
-            t += branch[i];
-            if t > kill_ms {
-                // Killed mid-branch: its result never materialises.
-                return outcome(last, outputs, false);
-            }
-            executed[i] = Some(table.confidences[i]);
-            history.set(i, true);
-            outputs += 1;
-            last = Some(EmittedOutput {
-                exit: i,
-                predicted: table.predictions[i],
-                confidence: table.confidences[i],
-            });
-            drop(block_span);
-            trace::instant(
-                Category::Exit,
-                "sim_exit",
-                Args::two("exit", i as u64, "sim_us", (t * 1_000.0) as u64),
-            );
-            if i + 1 == n {
-                break;
-            }
-            t += self.replan_overhead_ms;
-            if t > kill_ms {
-                return outcome(last, outputs, false);
-            }
-            let ctx = PlanContext {
-                et: self.et,
-                dist: self.dist,
-                executed: &executed,
-                history: &history,
-                next_exit: i + 1,
-            };
-            let _replan = trace::span_args(
-                Category::Replan,
-                "replan",
-                Args::one("after_exit", i as u64),
-            );
-            match planner.plan(&ctx) {
-                PlannerDecision::Plan(p) => {
-                    assert_eq!(p.len(), n, "planner returned wrong plan length");
-                    plan = p.with_frozen_prefix(&history, i + 1);
-                }
-                PlannerDecision::Stop => return outcome(last, outputs, true),
-            }
+        let finished = step_plan(self.et, self.dist, planner, &mut sim);
+        ElasticOutcome {
+            last: sim.last,
+            correct: sim.last.is_some_and(|o| o.predicted == table.label),
+            outputs: sim.outputs,
+            finished,
+            kill_ms,
         }
-        outcome(last, outputs, true)
+    }
+}
+
+/// What [`step_plan`] drives: something that can run a multi-exit network
+/// one step at a time and be cut short at any step. The simulator implements
+/// it on a virtual clock over a [`SampleTable`]; `einet-edge` implements it
+/// on real forward passes over a stacked batch under per-member guards.
+pub trait PlanMachine {
+    /// Whether anything is still running. Polled once before the initial
+    /// plan, so a run that is dead on arrival never consults the planner.
+    fn running(&mut self) -> bool;
+
+    /// Advances the conv part of block `i`. `false` means the step was cut
+    /// short (simulator: it would end after the kill; live: every member's
+    /// guard had fired before it started) and the run is over.
+    fn advance(&mut self, i: usize) -> bool;
+
+    /// Evaluates exit branch `i` and checkpoints its output. `false` as for
+    /// [`PlanMachine::advance`]; an output checkpointed before the cut
+    /// stays.
+    fn exit(&mut self, i: usize) -> bool;
+
+    /// Per exit, the confidence the planner should see there: `None` until
+    /// the exit has executed, then its output's — in a batch the current
+    /// leader's, so the context follows a leadership hand-over. Read before
+    /// every (re)plan.
+    fn confidences(&self) -> &[Option<f32>];
+}
+
+/// The online loop of Section V, once: conv parts always advance, branches
+/// follow the live plan, the planner re-plans after every output (its past
+/// frozen to what actually ran), and a cut keeps whatever `machine` has
+/// checkpointed. Returns `true` when the run reached the end of its plan or
+/// the planner said [`PlannerDecision::Stop`], `false` when `machine` cut
+/// it short.
+///
+/// # Panics
+///
+/// Panics when the planner returns a plan whose length differs from the
+/// profile's exit count.
+pub fn step_plan<M: PlanMachine + ?Sized>(
+    et: &EtProfile,
+    dist: &TimeDistribution,
+    planner: &mut dyn Planner,
+    machine: &mut M,
+) -> bool {
+    let n = et.num_exits();
+    if !machine.running() {
+        return false;
+    }
+    let mut history = ExitPlan::empty(n);
+    let mut plan = ExitPlan::empty(n);
+    // A (re)plan is due before the first block and after every output.
+    let mut plan_due = true;
+    for i in 0..n {
+        if plan_due {
+            let ctx = PlanContext {
+                et,
+                dist,
+                executed: machine.confidences(),
+                history: &history,
+                next_exit: i,
+            };
+            let _replan = match i.checked_sub(1) {
+                None => trace::span_args(Category::Replan, "initial_plan", Args::none()),
+                Some(after) => trace::span_args(
+                    Category::Replan,
+                    "replan",
+                    Args::one("after_exit", after as u64),
+                ),
+            };
+            match planner.plan(&ctx) {
+                PlannerDecision::Plan(p) => {
+                    assert_eq!(p.len(), n, "planner returned wrong plan length");
+                    plan = p.with_frozen_prefix(&history, i);
+                }
+                PlannerDecision::Stop => return true,
+            }
+            plan_due = false;
+        }
+        if !machine.advance(i) {
+            return false;
+        }
+        if plan.get(i) {
+            if !machine.exit(i) {
+                return false;
+            }
+            history.set(i, true);
+            plan_due = true;
+        }
+    }
+    true
+}
+
+/// The simulator as a [`PlanMachine`]: a step completes iff the virtual
+/// clock at its end has not passed the kill time.
+struct SimMachine<'a> {
+    rt: &'a ElasticRuntime<'a>,
+    table: &'a SampleTable,
+    kill_ms: f64,
+    t: f64,
+    executed: Vec<Option<f32>>,
+    last: Option<EmittedOutput>,
+    outputs: usize,
+}
+
+impl SimMachine<'_> {
+    fn sim_args(&self, i: usize) -> Args {
+        Args::two("exit", i as u64, "sim_us", (self.t * 1_000.0) as u64)
+    }
+}
+
+impl PlanMachine for SimMachine<'_> {
+    fn running(&mut self) -> bool {
+        self.t <= self.kill_ms
+    }
+
+    fn advance(&mut self, i: usize) -> bool {
+        // The span's wall time is the simulation cost of this block; the
+        // simulated clock rides along in the args.
+        let _block = trace::span_args(Category::Block, "sim_block", self.sim_args(i));
+        self.t += self.rt.et.conv_ms()[i];
+        self.running()
+    }
+
+    fn exit(&mut self, i: usize) -> bool {
+        self.t += self.rt.et.branch_ms()[i];
+        if !self.running() {
+            // Killed mid-branch: its result never materialises.
+            return false;
+        }
+        self.outputs += 1;
+        self.executed[i] = Some(self.table.confidences[i]);
+        self.last = Some(EmittedOutput {
+            exit: i,
+            predicted: self.table.predictions[i],
+            confidence: self.table.confidences[i],
+        });
+        trace::instant(Category::Exit, "sim_exit", self.sim_args(i));
+        // The replan that follows every output but the last costs clock
+        // time too; an output already emitted survives a kill inside it.
+        if i + 1 < self.table.num_exits() {
+            self.t += self.rt.replan_overhead_ms;
+        }
+        self.running()
+    }
+
+    fn confidences(&self) -> &[Option<f32>] {
+        &self.executed
     }
 }
 

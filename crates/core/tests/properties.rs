@@ -2,7 +2,10 @@
 //! and time distributions.
 
 use einet_core::search::{enumerate_best, greedy_augment, hybrid_search, random_search};
-use einet_core::{expectation, expectation_reference, ExitPlan, TimeDistribution};
+use einet_core::{
+    expectation, expectation_reference, ElasticRuntime, ExitPlan, SampleTable, StaticPlanner,
+    TimeDistribution,
+};
 use einet_profile::EtProfile;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -191,5 +194,49 @@ proptest! {
     fn plan_count_consistency(plan in arb_plan()) {
         prop_assert_eq!(plan.count_executed(), plan.iter_executed().count());
         prop_assert_eq!(plan.to_bools().iter().filter(|&&b| b).count(), plan.count_executed());
+    }
+
+    /// Under a static plan the simulator has a closed form: lay the steps
+    /// out on a timeline (every conv part, the planned branches, the replan
+    /// overhead after each output but the last exit's) and an output exists
+    /// iff its branch ends by the kill; the run finished iff the whole
+    /// timeline does. Pins the simulator's results across loop refactors.
+    #[test]
+    fn run_sample_matches_the_closed_form_oracle(
+        et in arb_profile(), confs in arb_confs(), plan in arb_plan(),
+        preds in proptest::collection::vec(0u16..4, N),
+        kill_frac in 0.0_f64..1.2, overhead in prop_oneof![Just(0.0_f64), 0.0_f64..0.4],
+    ) {
+        let kill_ms = kill_frac * et.total_ms();
+        let dist = TimeDistribution::Uniform;
+        let table = SampleTable { confidences: confs, predictions: preds, label: 1 };
+        let rt = ElasticRuntime::new(&et, &dist).with_replan_overhead(overhead);
+        let mut planner = StaticPlanner::new(plan, "fixed");
+        let got = rt.run_sample(&table, &mut planner, kill_ms);
+
+        // Step end times in execution order, summed in the runtime's order.
+        let mut t = 0.0_f64;
+        let mut output_ends: Vec<(usize, f64)> = Vec::new();
+        for i in 0..N {
+            t += et.conv_ms()[i];
+            if plan.get(i) {
+                t += et.branch_ms()[i];
+                output_ends.push((i, t));
+                if i + 1 < N {
+                    t += overhead;
+                }
+            }
+        }
+        let alive: Vec<usize> = output_ends.iter().filter(|(_, end)| *end <= kill_ms)
+            .map(|(i, _)| *i).collect();
+        prop_assert_eq!(got.outputs, alive.len());
+        prop_assert_eq!(got.last.map(|o| o.exit), alive.last().copied());
+        if let Some(o) = got.last {
+            prop_assert_eq!(o.predicted, table.predictions[o.exit]);
+            prop_assert_eq!(o.confidence, table.confidences[o.exit]);
+        }
+        prop_assert_eq!(got.correct, got.last.is_some_and(|o| o.predicted == table.label));
+        prop_assert_eq!(got.finished, t <= kill_ms);
+        prop_assert_eq!(got.kill_ms, kill_ms);
     }
 }

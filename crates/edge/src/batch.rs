@@ -1,41 +1,47 @@
-//! The batched elastic execution loop.
+//! The live elastic execution machine.
 //!
-//! Runs one exit plan over a *stacked* batch of compatible requests —
-//! one conv pass per block for the whole batch, exits evaluated
-//! per-sample — while keeping the elastic-inference guarantee **per
+//! The online loop itself — follow the plan, re-plan after every output,
+//! stop on a cut — is [`einet_core::step_plan`], shared with the simulator.
+//! This module is the [`PlanMachine`] it drives on real forward passes: one
+//! conv pass per block over a *stacked* `[b, c, h, w]` batch of compatible
+//! requests, exits evaluated per-sample. A solo task is a batch of one;
+//! [`crate::ElasticExecutor`] and [`crate::ExecutorPool`] both run through
+//! [`run_elastic_batch`]. The elastic-inference guarantee holds **per
 //! member**:
 //!
-//! * every member carries its own [`TaskGuard`]; a member whose deadline
-//!   expires mid-batch is finalized right there with its latest
-//!   checkpointed outputs, while the rest of the batch keeps running;
+//! * every member carries its own [`TaskGuard`], polled before each conv
+//!   part and each branch (a step starts iff the guard has not fired); a
+//!   member whose deadline expires mid-batch is finalized right there with
+//!   its latest checkpointed outputs, while the rest of the batch keeps
+//!   running;
 //! * raising the shared gate finalizes every still-active member within
-//!   one block, exactly like the single-task loop;
+//!   one block;
 //! * planning is **leader-driven**: the most urgent member (the EDF head,
 //!   index 0) feeds its confidences to the planner; when the leader is
 //!   finalized mid-batch, leadership passes to the next active member and
-//!   the planner context is rebuilt from that member's own outputs.
+//!   the planner sees that member's own confidences from then on.
 //!
-//! Per-sample results are bit-identical to the single-task loop under the
-//! same plan: convolution processes batch samples independently, the linear
-//! layers accumulate in the same k-order regardless of the row count, batch
-//! norm runs in `Eval` mode on running statistics, and softmax/argmax are
-//! row-local. `crates/models/tests/batch_equivalence.rs` pins this.
+//! Per-sample results do not depend on the batch size: convolution
+//! processes batch samples independently, the linear layers accumulate in
+//! the same k-order regardless of the row count, batch norm runs in `Eval`
+//! mode on running statistics, and softmax/argmax are row-local.
+//! `crates/models/tests/batch_equivalence.rs` pins this.
 
 use std::time::Duration;
 
-use einet_core::{ExitPlan, PlanContext, PlannerDecision, TimeDistribution};
+use einet_core::{step_plan, PlanMachine, TimeDistribution};
 use einet_models::{exit_outputs_from_logits, ExitOutput, MultiExitNet};
 use einet_profile::EtProfile;
 use einet_tensor::{Layer, Mode, Tensor};
 use einet_trace::{self as trace, Args, Category};
 
-use crate::executor::{stop_name, InferenceRequest, TaskOutcome, TaskStatus};
-use crate::gate::TaskGuard;
+use crate::executor::{InferenceRequest, TaskOutcome, TaskStatus};
+use crate::gate::{StopCause, TaskGuard};
 use crate::source::PlannerSource;
 
-/// One member of a batched dispatch.
+/// One member of a dispatch.
 pub(crate) struct BatchMember<'a> {
-    /// Pool-wide task id (for trace instants).
+    /// Process-wide task id (for trace instants).
     pub id: u64,
     /// The member's request (input row, label, deadline).
     pub request: &'a InferenceRequest,
@@ -44,23 +50,132 @@ pub(crate) struct BatchMember<'a> {
 }
 
 /// Per-member execution state while the batch runs.
+#[derive(Default)]
 struct MemberState {
     outputs: Vec<ExitOutput>,
     blocks_run: usize,
-    /// `Some(status)` once the member has been finalized (stopped early or
-    /// ran to plan end); its row still flows through remaining conv parts
-    /// but receives no further outputs.
-    done: Option<TaskStatus>,
+    /// `Some(status)` once the member's guard has fired; its row still
+    /// flows through remaining conv parts but receives no further outputs.
+    stopped: Option<TaskStatus>,
 }
 
-/// Runs `plan`-driven elastic inference over all members as one stacked
+/// The stacked batch as a [`PlanMachine`].
+struct BatchMachine<'a> {
+    net: &'a mut MultiExitNet,
+    members: &'a [BatchMember<'a>],
+    states: Vec<MemberState>,
+    /// The activations after the last conv part; stacked from the members'
+    /// inputs on the first advance, so a dispatch that is dead on arrival
+    /// never copies them.
+    x: Option<Tensor>,
+    /// The leader's confidence at every exit executed so far.
+    seen: Vec<Option<f32>>,
+    block_delay: Duration,
+}
+
+impl BatchMachine<'_> {
+    fn step_args(&self, i: usize) -> Args {
+        Args::two("exit", i as u64, "batch_size", self.members.len() as u64)
+    }
+}
+
+impl PlanMachine for BatchMachine<'_> {
+    /// Polls every active member's guard and finalizes the ones whose stop
+    /// condition fired.
+    fn running(&mut self) -> bool {
+        let mut any_active = false;
+        for (m, st) in self.members.iter().zip(&mut self.states) {
+            if st.stopped.is_some() {
+                continue;
+            }
+            if let Some(cause) = m.guard.check() {
+                // The member's global trace id rides along so a cross-process
+                // reconciler can attribute the stop to its request.
+                let name = match cause {
+                    StopCause::Preempted => "preempted",
+                    StopCause::DeadlineExpired => "deadline_expired",
+                };
+                trace::instant(
+                    Category::Preempt,
+                    name,
+                    Args::two("task", m.id, "trace", m.request.trace),
+                );
+                st.stopped = Some(cause.into());
+            } else {
+                any_active = true;
+            }
+        }
+        any_active
+    }
+
+    fn advance(&mut self, i: usize) -> bool {
+        if !self.running() {
+            return false;
+        }
+        let _block = trace::span_args(Category::Block, "block", self.step_args(i));
+        let x = self.x.take().unwrap_or_else(|| {
+            Tensor::stack_batch(
+                &self
+                    .members
+                    .iter()
+                    .map(|m| &m.request.input)
+                    .collect::<Vec<_>>(),
+            )
+        });
+        // The full stacked tensor advances even when some rows are already
+        // finalized: slicing survivors out would break row alignment and
+        // re-stacking costs more than the wasted FLOPs for the rare
+        // mid-batch stop.
+        self.x = Some(self.net.blocks_mut()[i].conv_part.forward(&x, Mode::Eval));
+        for st in self.states.iter_mut().filter(|s| s.stopped.is_none()) {
+            st.blocks_run += 1;
+        }
+        if !self.block_delay.is_zero() {
+            std::thread::sleep(self.block_delay);
+        }
+        true
+    }
+
+    fn exit(&mut self, i: usize) -> bool {
+        if !self.running() {
+            return false;
+        }
+        let _exit = trace::span_args(Category::Exit, "exit", self.step_args(i));
+        let x = self.x.as_ref().expect("exit follows its conv part");
+        let logits = self.net.blocks_mut()[i].branch.forward(x, Mode::Eval);
+        for (row, st) in exit_outputs_from_logits(i, &logits)
+            .into_iter()
+            .zip(&mut self.states)
+        {
+            if st.stopped.is_none() {
+                st.outputs.push(row);
+            }
+        }
+        // Leadership: the planner follows the most urgent still-active
+        // member, which — being active — holds an output for every exit
+        // executed so far. Rewriting all of them (not just exit `i`) is what
+        // makes a hand-over since the last exit take effect.
+        let leader = self.states.iter().find(|s| s.stopped.is_none());
+        for o in &leader.expect("polled active above").outputs {
+            self.seen[o.exit] = Some(o.confidence);
+        }
+        true
+    }
+
+    fn confidences(&self) -> &[Option<f32>] {
+        &self.seen
+    }
+}
+
+/// Runs plan-driven elastic inference over all members as one stacked
 /// forward. Returns one [`TaskOutcome`] per member, in input order.
 ///
 /// # Panics
 ///
 /// Panics when the planner returns a plan whose length differs from the
-/// network's exit count — the same contract as the single-task loop. Inside
-/// [`crate::ExecutorPool`] this surfaces as a task error, not a dead worker.
+/// network's exit count — the contract [`step_plan`] enforces for the
+/// simulator too. Inside [`crate::ExecutorPool`] this surfaces as a task
+/// error, not a dead worker.
 pub(crate) fn run_elastic_batch(
     net: &mut MultiExitNet,
     et: &EtProfile,
@@ -69,171 +184,114 @@ pub(crate) fn run_elastic_batch(
     members: &[BatchMember<'_>],
     block_delay: Duration,
 ) -> Vec<TaskOutcome> {
-    let n = net.num_exits();
-    let b = members.len();
-    assert!(b > 0, "batch must be non-empty");
-    let mut planner = source.make();
-    let mut states: Vec<MemberState> = (0..b)
-        .map(|_| MemberState {
-            outputs: Vec::new(),
-            blocks_run: 0,
-            done: None,
+    assert!(!members.is_empty(), "batch must be non-empty");
+    let mut machine = BatchMachine {
+        net,
+        members,
+        states: members.iter().map(|_| MemberState::default()).collect(),
+        x: None,
+        seen: vec![None; et.num_exits()],
+        block_delay,
+    };
+    step_plan(et, dist, source.make().as_mut(), &mut machine);
+    members
+        .iter()
+        .zip(machine.states)
+        .map(|(m, st)| {
+            let correct = m
+                .request
+                .label
+                .and_then(|l| st.outputs.last().map(|o| o.predicted == l));
+            TaskOutcome {
+                outputs: st.outputs,
+                // Whoever no guard stopped ran to the end of the plan.
+                status: st.stopped.unwrap_or(TaskStatus::Completed),
+                blocks_run: st.blocks_run,
+                correct,
+            }
         })
-        .collect();
-    let checked = |p: ExitPlan| {
-        assert_eq!(p.len(), n, "planner returned wrong plan length");
-        p
-    };
-    // Poll every active member's guard; finalize the ones whose stop
-    // condition fired. Returns true while at least one member is active.
-    let poll = |states: &mut [MemberState]| -> bool {
-        let mut any_active = false;
-        for (m, st) in members.iter().zip(states.iter_mut()) {
-            if st.done.is_some() {
-                continue;
-            }
-            if let Some(cause) = m.guard.check() {
-                // The member's global trace id rides along so a cross-process
-                // reconciler can attribute the stop to its request.
-                trace::instant(
-                    Category::Preempt,
-                    stop_name(cause),
-                    Args::two("task", m.id, "trace", m.request.trace),
-                );
-                st.done = Some(cause.into());
-            } else {
-                any_active = true;
-            }
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, Mutex};
+
+    use einet_core::{ExitPlan, PlanContext, Planner, PlannerDecision};
+    use einet_models::{zoo, BranchSpec};
+    use einet_profile::EdgePlatform;
+
+    use super::*;
+    use crate::gate::PreemptionGate;
+    use crate::source::FnSource;
+
+    /// Full plan; records what it is shown, and stops member 0 (alone) from
+    /// inside its second call, i.e. right after exit 0.
+    struct Recorder {
+        seen: Arc<Mutex<Vec<Vec<Option<f32>>>>>,
+        leader_gate: PreemptionGate,
+    }
+
+    impl Planner for Recorder {
+        fn name(&self) -> String {
+            "recorder".into()
         }
-        any_active
-    };
-    // Leadership: the planner follows the most urgent still-active member.
-    let leader = |states: &[MemberState]| states.iter().position(|s| s.done.is_none());
-    // The planner context is rebuilt from the leader's own outputs so a
-    // leadership handover mid-batch keeps confidences consistent.
-    let ctx_fields = |state: &MemberState| {
-        let mut executed: Vec<Option<f32>> = vec![None; n];
-        let mut history = ExitPlan::empty(n);
-        for o in &state.outputs {
-            executed[o.exit] = Some(o.confidence);
-            history.set(o.exit, true);
+
+        fn plan(&mut self, ctx: &PlanContext<'_>) -> PlannerDecision {
+            let mut seen = self.seen.lock().unwrap();
+            seen.push(ctx.executed.to_vec());
+            if seen.len() == 2 {
+                self.leader_gate.raise();
+            }
+            PlannerDecision::Plan(ExitPlan::full(3))
         }
-        (executed, history)
-    };
-    let finish = |states: Vec<MemberState>| -> Vec<TaskOutcome> {
-        members
-            .iter()
-            .zip(states)
-            .map(|(m, st)| {
-                let correct = m
-                    .request
-                    .label
-                    .and_then(|l| st.outputs.last().map(|o| o.predicted == l));
-                TaskOutcome {
-                    outputs: st.outputs,
-                    status: st.done.unwrap_or(TaskStatus::Completed),
-                    blocks_run: st.blocks_run,
-                    correct,
-                }
+    }
+
+    #[test]
+    fn a_hand_over_shows_the_planner_the_new_leaders_own_confidences() {
+        let mut net = zoo::b_alexnet([1, 16, 16], 10, &BranchSpec::paper_default(), 5);
+        let et = EtProfile::from_cost_model(&net, EdgePlatform::JetsonClass);
+        let requests =
+            [0.2, 0.9].map(|v| InferenceRequest::new(Tensor::filled(&[1, 1, 16, 16], v)));
+        // One gate per member, so the test can stop the leader alone.
+        let gates = [PreemptionGate::new(), PreemptionGate::new()];
+        let members: Vec<BatchMember<'_>> = (0..2)
+            .map(|m| BatchMember {
+                id: m as u64 + 1,
+                request: &requests[m],
+                guard: TaskGuard::new(gates[m].clone(), None),
             })
-            .collect()
-    };
-    if !poll(&mut states) {
-        return finish(states);
-    }
-    let lead = leader(&states).expect("poll said a member is active");
-    let (executed, history) = ctx_fields(&states[lead]);
-    let ctx = PlanContext {
-        et,
-        dist,
-        executed: &executed,
-        history: &history,
-        next_exit: 0,
-    };
-    let mut plan = {
-        let _replan = trace::span_args(
-            Category::Replan,
-            "initial_plan",
-            Args::two(
-                "task",
-                members[lead].id,
-                "trace",
-                members[lead].request.trace,
-            ),
+            .collect();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (planner_seen, leader_gate) = (Arc::clone(&seen), gates[0].clone());
+        let source = FnSource::new("recorder", move || {
+            Box::new(Recorder {
+                seen: Arc::clone(&planner_seen),
+                leader_gate: leader_gate.clone(),
+            }) as Box<dyn Planner>
+        });
+        let outcomes = run_elastic_batch(
+            &mut net,
+            &et,
+            &TimeDistribution::Uniform,
+            &source,
+            &members,
+            Duration::ZERO,
         );
-        match planner.plan(&ctx) {
-            PlannerDecision::Plan(p) => checked(p),
-            PlannerDecision::Stop => return finish(states),
-        }
-    };
-    let mut x = Tensor::stack_batch(&members.iter().map(|m| &m.request.input).collect::<Vec<_>>());
-    for i in 0..n {
-        if !poll(&mut states) {
-            return finish(states);
-        }
-        {
-            let _block = trace::span_args(
-                Category::Block,
-                "block",
-                Args::two("exit", i as u64, "batch_size", b as u64),
-            );
-            // The full stacked tensor advances even when some rows are
-            // already finalized: slicing survivors out would break row
-            // alignment and re-stacking costs more than the wasted FLOPs
-            // for the rare mid-batch stop.
-            x = net.blocks_mut()[i].conv_part.forward(&x, Mode::Eval);
-            for st in states.iter_mut().filter(|s| s.done.is_none()) {
-                st.blocks_run += 1;
-            }
-            if !block_delay.is_zero() {
-                std::thread::sleep(block_delay);
-            }
-        }
-        if !plan.get(i) {
-            continue;
-        }
-        if !poll(&mut states) {
-            return finish(states);
-        }
-        {
-            let _exit = trace::span_args(
-                Category::Exit,
-                "exit",
-                Args::two("exit", i as u64, "batch_size", b as u64),
-            );
-            let logits = net.blocks_mut()[i].branch.forward(&x, Mode::Eval);
-            for (row, st) in exit_outputs_from_logits(i, &logits)
-                .into_iter()
-                .zip(states.iter_mut())
-            {
-                if st.done.is_none() {
-                    st.outputs.push(row);
-                }
-            }
-        }
-        if i + 1 == n {
-            break;
-        }
-        let Some(lead) = leader(&states) else {
-            return finish(states);
-        };
-        let (executed, history) = ctx_fields(&states[lead]);
-        let ctx = PlanContext {
-            et,
-            dist,
-            executed: &executed,
-            history: &history,
-            next_exit: i + 1,
-        };
-        let _replan = trace::span_args(
-            Category::Replan,
-            "replan",
-            Args::two("after_exit", i as u64, "task", members[lead].id),
+        assert_eq!(outcomes[0].status, TaskStatus::Preempted);
+        assert_eq!((outcomes[0].outputs.len(), outcomes[0].blocks_run), (1, 1));
+        assert!(outcomes[1].is_complete());
+        let conf = |m: usize, exit: usize| Some(outcomes[m].outputs[exit].confidence);
+        assert_ne!(conf(0, 0), conf(1, 0), "the members must differ");
+        assert_eq!(
+            *seen.lock().unwrap(),
+            vec![
+                vec![None, None, None],
+                // Member 0 leads until the planner itself stops it ...
+                vec![conf(0, 0), None, None],
+                // ... and then exit 0 reads as member 1 saw it.
+                vec![conf(1, 0), conf(1, 1), None],
+            ]
         );
-        match planner.plan(&ctx) {
-            PlannerDecision::Plan(p) => plan = checked(p).with_frozen_prefix(&history, i + 1),
-            PlannerDecision::Stop => return finish(states),
-        }
     }
-    finish(states)
 }

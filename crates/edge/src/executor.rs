@@ -7,12 +7,13 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use einet_core::{ExitPlan, PlanContext, PlannerDecision, TimeDistribution};
+use einet_core::TimeDistribution;
 use einet_models::{ExitOutput, MultiExitNet};
 use einet_profile::{EdgePlatform, EtProfile};
-use einet_tensor::{softmax_rows, Layer, Mode, Tensor};
+use einet_tensor::Tensor;
 use einet_trace::{self as trace, Args, Category};
 
+use crate::batch::{run_elastic_batch, BatchMember};
 use crate::gate::{PreemptionGate, StopCause, TaskGuard};
 use crate::source::PlannerSource;
 
@@ -21,14 +22,6 @@ use crate::source::PlannerSource;
 pub(crate) fn next_task_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-/// The trace-instant name for a stop cause.
-pub(crate) fn stop_name(cause: StopCause) -> &'static str {
-    match cause {
-        StopCause::Preempted => "preempted",
-        StopCause::DeadlineExpired => "deadline_expired",
-    }
 }
 
 /// One inference task: a single `[1, c, h, w]` input, optionally with its
@@ -190,13 +183,15 @@ enum WorkerMsg {
 /// elastically under a shared [`PreemptionGate`].
 ///
 /// The worker profiles the network once at spawn (cost model) so planners
-/// have an ET-profile, and re-plans through its [`PlannerSource`] after
-/// every emitted output — the online loop of Section V, on real forward
-/// passes instead of a simulated clock.
+/// have an ET-profile, and runs every task through the same machine as
+/// [`crate::ExecutorPool`] — [`einet_core::step_plan`] over a stacked batch,
+/// here always a batch of one — re-planning through its [`PlannerSource`]
+/// after every emitted output: the online loop of Section V, on real
+/// forward passes instead of a simulated clock.
 ///
-/// This is the single-worker primitive; production serving goes through
-/// [`crate::ExecutorPool`], which adds a bounded admission queue, panic
-/// isolation and metrics on top of the same execution loop.
+/// This is the single-worker primitive: a thread and a channel around that
+/// machine. Production serving goes through [`crate::ExecutorPool`], which
+/// adds a bounded admission queue, batching, panic isolation and metrics.
 #[derive(Debug)]
 pub struct ElasticExecutor {
     tx: Sender<WorkerMsg>,
@@ -208,31 +203,21 @@ impl ElasticExecutor {
     /// ([`EdgePlatform::JetsonClass`]) and a uniform assumed kill-time
     /// distribution.
     pub fn spawn(net: MultiExitNet, source: Box<dyn PlannerSource>, gate: PreemptionGate) -> Self {
-        Self::spawn_with(
+        Self::spawn_throttled(
             net,
             source,
             gate,
             EdgePlatform::JetsonClass,
             TimeDistribution::Uniform,
+            Duration::ZERO,
         )
     }
 
     /// Spawns the worker with an explicit platform cost model and assumed
-    /// kill-time distribution (what the planners optimise against).
-    pub fn spawn_with(
-        net: MultiExitNet,
-        source: Box<dyn PlannerSource>,
-        gate: PreemptionGate,
-        platform: EdgePlatform,
-        dist: TimeDistribution,
-    ) -> Self {
-        Self::spawn_throttled(net, source, gate, platform, dist, Duration::ZERO)
-    }
-
-    /// Like [`ElasticExecutor::spawn_with`], additionally sleeping
-    /// `block_delay` after every conv part — emulating a slower device (or
-    /// making preemption demos land mid-inference on fast hosts) without
-    /// touching the model.
+    /// kill-time distribution (what the planners optimise against),
+    /// sleeping `block_delay` after every conv part — emulating a slower
+    /// device (or making preemption demos land mid-inference on fast hosts)
+    /// without touching the model.
     pub fn spawn_throttled(
         mut net: MultiExitNet,
         source: Box<dyn PlannerSource>,
@@ -248,7 +233,11 @@ impl ElasticExecutor {
                 match msg {
                     WorkerMsg::Shutdown => break,
                     WorkerMsg::Task(task_id, request, deadline_at, reply) => {
-                        let guard = TaskGuard::new(gate.clone(), deadline_at);
+                        let member = BatchMember {
+                            id: task_id,
+                            request: &request,
+                            guard: TaskGuard::new(gate.clone(), deadline_at),
+                        };
                         // "solo_task", not "task": pool-serviced spans must
                         // stay countable against the pool's ServeMetrics.
                         let service = trace::span_args(
@@ -256,16 +245,17 @@ impl ElasticExecutor {
                             "solo_task",
                             Args::one("task", task_id),
                         );
-                        let outcome = run_elastic(
+                        // Solo is a batch of one.
+                        let outcome = run_elastic_batch(
                             &mut net,
                             &et,
                             &dist,
                             source.as_ref(),
-                            &guard,
-                            &request,
+                            std::slice::from_ref(&member),
                             block_delay,
-                            task_id,
-                        );
+                        )
+                        .pop()
+                        .expect("one outcome per member");
                         drop(service);
                         // The requester may have given up; that is fine.
                         let _ = reply.send(outcome);
@@ -325,155 +315,11 @@ impl Drop for ElasticExecutor {
     }
 }
 
-/// The elastic execution loop: conv parts always advance, branches follow
-/// the live plan, the guard (gate ∪ deadline) is polled between steps, and
-/// the planner is refreshed after every output.
-///
-/// Shared by [`ElasticExecutor`] (one worker) and [`crate::ExecutorPool`]
-/// (N workers behind an admission queue).
-///
-/// # Panics
-///
-/// Panics when the planner returns a plan whose length differs from the
-/// network's exit count — the same contract the simulated runtime enforces.
-/// Inside [`crate::ExecutorPool`] this surfaces as a
-/// [`crate::TaskError::Panicked`] outcome instead of killing the worker.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_elastic(
-    net: &mut MultiExitNet,
-    et: &EtProfile,
-    dist: &TimeDistribution,
-    source: &dyn PlannerSource,
-    guard: &TaskGuard,
-    request: &InferenceRequest,
-    block_delay: Duration,
-    task_id: u64,
-) -> TaskOutcome {
-    let n = net.num_exits();
-    let mut planner = source.make();
-    let mut executed: Vec<Option<f32>> = vec![None; n];
-    let mut history = ExitPlan::empty(n);
-    let mut outputs: Vec<ExitOutput> = Vec::new();
-    let mut blocks_run = 0usize;
-    let outcome = |outputs: Vec<ExitOutput>, blocks_run: usize, status: TaskStatus| {
-        let correct = request
-            .label
-            .and_then(|l| outputs.last().map(|o| o.predicted == l));
-        TaskOutcome {
-            outputs,
-            status,
-            blocks_run,
-            correct,
-        }
-    };
-    let checked = |p: ExitPlan| {
-        assert_eq!(p.len(), n, "planner returned wrong plan length");
-        p
-    };
-    // A task that is already preempted or past-deadline on arrival (it may
-    // have waited in the admission queue) never touches the network.
-    if let Some(cause) = guard.check() {
-        trace::instant(
-            Category::Preempt,
-            stop_name(cause),
-            Args::one("task", task_id),
-        );
-        return outcome(outputs, 0, cause.into());
-    }
-    let ctx = PlanContext {
-        et,
-        dist,
-        executed: &executed,
-        history: &history,
-        next_exit: 0,
-    };
-    let mut plan = {
-        let _replan =
-            trace::span_args(Category::Replan, "initial_plan", Args::one("task", task_id));
-        match planner.plan(&ctx) {
-            PlannerDecision::Plan(p) => checked(p),
-            PlannerDecision::Stop => return outcome(outputs, 0, TaskStatus::Completed),
-        }
-    };
-    let mut x = request.input.clone();
-    for i in 0..n {
-        if let Some(cause) = guard.check() {
-            trace::instant(
-                Category::Preempt,
-                stop_name(cause),
-                Args::one("task", task_id),
-            );
-            return outcome(outputs, blocks_run, cause.into());
-        }
-        {
-            let _block = trace::span_args(
-                Category::Block,
-                "block",
-                Args::two("exit", i as u64, "task", task_id),
-            );
-            x = net.blocks_mut()[i].conv_part.forward(&x, Mode::Eval);
-            blocks_run += 1;
-            if !block_delay.is_zero() {
-                std::thread::sleep(block_delay);
-            }
-        }
-        if !plan.get(i) {
-            continue;
-        }
-        if let Some(cause) = guard.check() {
-            trace::instant(
-                Category::Preempt,
-                stop_name(cause),
-                Args::one("task", task_id),
-            );
-            return outcome(outputs, blocks_run, cause.into());
-        }
-        {
-            let _exit = trace::span_args(
-                Category::Exit,
-                "exit",
-                Args::two("exit", i as u64, "task", task_id),
-            );
-            let logits = net.blocks_mut()[i].branch.forward(&x, Mode::Eval);
-            let probs = softmax_rows(&logits);
-            let predicted = probs.row_argmax(0);
-            let confidence = probs.at2(0, predicted);
-            outputs.push(ExitOutput {
-                exit: i,
-                predicted,
-                confidence,
-            });
-            executed[i] = Some(confidence);
-            history.set(i, true);
-        }
-        if i + 1 == n {
-            break;
-        }
-        let ctx = PlanContext {
-            et,
-            dist,
-            executed: &executed,
-            history: &history,
-            next_exit: i + 1,
-        };
-        let _replan = trace::span_args(
-            Category::Replan,
-            "replan",
-            Args::two("after_exit", i as u64, "task", task_id),
-        );
-        match planner.plan(&ctx) {
-            PlannerDecision::Plan(p) => plan = checked(p).with_frozen_prefix(&history, i + 1),
-            PlannerDecision::Stop => return outcome(outputs, blocks_run, TaskStatus::Completed),
-        }
-    }
-    outcome(outputs, blocks_run, TaskStatus::Completed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::source::{FnSource, StaticSource};
-    use einet_core::StaticPlanner;
+    use einet_core::{ExitPlan, StaticPlanner};
     use einet_models::{zoo, BranchSpec};
 
     fn net() -> MultiExitNet {

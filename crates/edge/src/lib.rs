@@ -6,14 +6,20 @@
 //!
 //! Where `einet-core`'s [`einet_core::ElasticRuntime`] *simulates* inference
 //! timelines from profiles (the evaluation methodology), this crate runs the
-//! **real network** on a worker thread:
+//! **real network** on worker threads. Both are the same loop:
+//! [`einet_core::step_plan`] follows the plan and re-plans after every
+//! output, and drives a machine that runs one step at a time. The simulator
+//! is one such machine; this crate's is a stacked batch of requests on real
+//! forward passes, and every executor here runs it (a solo task is a batch
+//! of one):
 //!
 //! * [`ElasticExecutor`] owns a trained multi-exit network and processes
 //!   [`InferenceRequest`]s submitted over a channel;
-//! * between every conv part and branch it checks a shared
-//!   [`PreemptionGate`]; raising the gate makes the in-flight task stop
-//!   within one block and hand over its **latest checkpointed result** —
-//!   the elastic-inference guarantee;
+//! * before every conv part and branch the machine checks each member's
+//!   [`TaskGuard`] — the shared [`PreemptionGate`] fused with the request's
+//!   deadline; raising the gate makes the in-flight task stop within one
+//!   block and hand over its **latest checkpointed result** — the
+//!   elastic-inference guarantee;
 //! * plans come from any [`PlannerSource`] — EINet with a trained
 //!   CS-Predictor ([`EinetSource`]), a fixed plan ([`StaticSource`]), or the
 //!   run-everything default;

@@ -2,7 +2,9 @@
 //! deadline-aware scheduler queue.
 //!
 //! [`crate::ElasticExecutor`] is the single-worker primitive; this module is
-//! what a deployment actually runs:
+//! what a deployment actually runs. Both execute a task the same way — the
+//! live machine of `batch.rs` under [`einet_core::step_plan`], where a
+//! lone task is a batch of one — and this module adds everything around it:
 //!
 //! * **Bounded admission.** Submissions go through a fixed-capacity
 //!   [`crate::SchedQueue`]; when it is full, [`ExecutorPool::submit`]
@@ -44,7 +46,7 @@ use einet_profile::{EdgePlatform, EtProfile};
 use einet_trace::{self as trace, Args, Category};
 
 use crate::batch::{run_elastic_batch, BatchMember};
-use crate::executor::{next_task_id, run_elastic, InferenceRequest, SubmitError, TaskOutcome};
+use crate::executor::{next_task_id, InferenceRequest, SubmitError, TaskOutcome};
 use crate::gate::{PreemptionGate, TaskGuard};
 use crate::metrics::ServeMetrics;
 use crate::sched::{PushError, SchedQueue, SchedTask};
@@ -76,36 +78,6 @@ pub type TaskResult = Result<TaskOutcome, TaskError>;
 /// A boxed completion callback for [`ExecutorPool::submit_with`]: invoked
 /// exactly once, on the worker thread that finishes (or loses) the task.
 pub type CompletionFn = Box<dyn FnOnce(TaskResult) + Send>;
-
-/// How a finished task reaches its requester: a blocking channel (the
-/// classic [`ExecutorPool::submit`] path) or a one-shot callback (the
-/// readiness-driven ingest path, where no thread is parked per request).
-pub(crate) enum Reply {
-    Channel(std::sync::mpsc::Sender<TaskResult>),
-    Callback(CompletionFn),
-}
-
-impl Reply {
-    /// Delivers the result, consuming the reply. A vanished channel
-    /// receiver is fine (the requester gave up); callbacks always run.
-    pub(crate) fn deliver(self, result: TaskResult) {
-        match self {
-            Reply::Channel(tx) => {
-                let _ = tx.send(result);
-            }
-            Reply::Callback(f) => f(result),
-        }
-    }
-}
-
-impl std::fmt::Debug for Reply {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Reply::Channel(_) => f.write_str("Reply::Channel"),
-            Reply::Callback(_) => f.write_str("Reply::Callback"),
-        }
-    }
-}
 
 /// Sizing and cost-model configuration for an [`ExecutorPool`].
 #[derive(Debug, Clone)]
@@ -149,7 +121,8 @@ pub(crate) struct PoolTask {
     request: InferenceRequest,
     deadline_at: Option<Instant>,
     admitted_at: Instant,
-    reply: Reply,
+    /// Runs exactly once, on the worker that finishes (or loses) the task.
+    reply: CompletionFn,
 }
 
 impl PoolTask {
@@ -262,7 +235,9 @@ impl ExecutorPool {
     /// pool is shutting down.
     pub fn submit(&self, request: InferenceRequest) -> Result<Receiver<TaskResult>, SubmitError> {
         let (reply_tx, reply_rx) = channel();
-        self.submit_reply(request, Reply::Channel(reply_tx))
+        // A vanished receiver is fine: the requester gave up.
+        let reply = Box::new(move |result| drop(reply_tx.send(result)));
+        self.submit_with(request, reply)
             .map(|_id| reply_rx)
             .map_err(|(err, _reply)| err)
     }
@@ -286,25 +261,13 @@ impl ExecutorPool {
         request: InferenceRequest,
         on_complete: CompletionFn,
     ) -> Result<u64, (SubmitError, CompletionFn)> {
-        self.submit_reply(request, Reply::Callback(on_complete))
-            .map_err(|(err, reply)| match reply {
-                Reply::Callback(f) => (err, f),
-                Reply::Channel(_) => unreachable!("submitted a callback reply"),
-            })
-    }
-
-    fn submit_reply(
-        &self,
-        request: InferenceRequest,
-        reply: Reply,
-    ) -> Result<u64, (SubmitError, Reply)> {
         let now = Instant::now();
         let task = PoolTask {
             id: next_task_id(),
             deadline_at: request.deadline.map(|d| now + d),
             admitted_at: now,
             request,
-            reply,
+            reply: on_complete,
         };
         let task_id = task.id;
         let flow_id = task.flow_id();
@@ -402,7 +365,7 @@ fn worker_loop(
                 trace::instant(Category::Queue, "shed_expired", Args::one("task", task.id));
                 // The task never reaches a worker slice; its flow ends here.
                 trace::flow_end(Category::Service, "task_flow", task.flow_id());
-                task.reply.deliver(Ok(TaskOutcome {
+                (task.reply)(Ok(TaskOutcome {
                     outputs: Vec::new(),
                     status: TaskStatus::ShedExpiredInQueue,
                     blocks_run: 0,
@@ -439,22 +402,8 @@ fn worker_loop(
             // causal arrow points submit → service.
             trace::flow_step(Category::Service, "task_flow", t.flow_id());
         }
-        let result = if size == 1 {
-            let task = &live[0];
-            let task_guard = TaskGuard::new(gate.clone(), task.deadline_at);
-            catch_unwind(AssertUnwindSafe(|| {
-                vec![run_elastic(
-                    &mut net,
-                    &et,
-                    &cfg.dist,
-                    source.as_ref(),
-                    &task_guard,
-                    &task.request,
-                    cfg.block_delay,
-                    task.id,
-                )]
-            }))
-        } else {
+        // One machine for every dispatch; a lone task is a batch of one.
+        let result = {
             let members: Vec<BatchMember<'_>> = live
                 .iter()
                 .map(|t| BatchMember {
@@ -493,7 +442,13 @@ fn worker_loop(
         );
         match result {
             Ok(outcomes) => {
-                queue.observe_service(size, service_time);
+                // Only dispatches that ran their plan out teach the service
+                // curve: one a gate raise or deadline cut short is quicker
+                // than the work it stands for, and would make the hold's
+                // feasibility bound too permissive.
+                if outcomes.iter().all(TaskOutcome::is_complete) {
+                    queue.observe_service(size, service_time);
+                }
                 for (task, outcome) in live.into_iter().zip(outcomes) {
                     metrics.on_outcome(
                         outcome.status,
@@ -516,12 +471,12 @@ fn worker_loop(
                             "task_deadline_expired",
                             Args::one("task", task.id),
                         ),
-                        // `run_elastic` never sheds — that happens at
-                        // dequeue, above — so this arm is unreachable here.
+                        // The machine never sheds — that happens at
+                        // dequeue, above — so that arm is unreachable here.
                         TaskStatus::Completed | TaskStatus::ShedExpiredInQueue => {}
                     }
                     // The requester may have given up; that is fine.
-                    task.reply.deliver(Ok(outcome));
+                    (task.reply)(Ok(outcome));
                 }
             }
             Err(payload) => {
@@ -533,7 +488,7 @@ fn worker_loop(
                         "task_panicked",
                         Args::one("task", task.id),
                     );
-                    task.reply.deliver(Err(TaskError::Panicked(msg.clone())));
+                    (task.reply)(Err(TaskError::Panicked(msg.clone())));
                 }
                 // The unwound network may hold half-written caches; respawn
                 // the worker state from the pristine template.
@@ -628,32 +583,18 @@ mod tests {
 
     #[test]
     fn incompatible_shapes_are_served_in_separate_batches() {
-        // A network over [1, 16, 16] accepts only that shape, so use two
-        // pools... no — the compat key is about shapes *within* one queue.
-        // Two different shapes cannot share a net; instead assert the key
-        // directly.
-        let (tx, _rx) = channel();
-        let a = PoolTask {
-            id: 1,
-            request: InferenceRequest::new(Tensor::zeros(&[1, 1, 16, 16])),
+        // The compat key depends on the input shape alone: equal shapes
+        // may share a stacked forward, different shapes never do.
+        let task = |id: u64, shape: &[usize]| PoolTask {
+            id,
+            request: InferenceRequest::new(Tensor::zeros(shape)),
             deadline_at: None,
             admitted_at: Instant::now(),
-            reply: Reply::Channel(tx.clone()),
+            reply: Box::new(|_| {}),
         };
-        let b = PoolTask {
-            id: 2,
-            request: InferenceRequest::new(Tensor::zeros(&[1, 3, 16, 16])),
-            deadline_at: None,
-            admitted_at: Instant::now(),
-            reply: Reply::Channel(tx.clone()),
-        };
-        let c = PoolTask {
-            id: 3,
-            request: InferenceRequest::new(Tensor::zeros(&[1, 1, 16, 16])),
-            deadline_at: None,
-            admitted_at: Instant::now(),
-            reply: Reply::Channel(tx),
-        };
+        let a = task(1, &[1, 1, 16, 16]);
+        let b = task(2, &[1, 3, 16, 16]);
+        let c = task(3, &[1, 1, 16, 16]);
         assert_eq!(a.compat_key(), c.compat_key());
         assert_ne!(a.compat_key(), b.compat_key());
     }
@@ -798,6 +739,87 @@ mod tests {
         let snap = pool.metrics().snapshot();
         assert_eq!(snap.finished(), 4);
         assert!(snap.reconciles());
+        pool.shutdown();
+    }
+
+    #[test]
+    fn truncated_dispatches_never_teach_the_service_curve() {
+        use einet_core::{PlanContext, Planner, PlannerDecision};
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        /// Full plan; once armed, raises the gate from inside its second
+        /// call — the dispatch is cut after one block and one exit, with no
+        /// wall clock involved.
+        struct CutAfterFirstExit {
+            gate: PreemptionGate,
+            armed: Arc<AtomicBool>,
+            calls: usize,
+        }
+        impl Planner for CutAfterFirstExit {
+            fn name(&self) -> String {
+                "cut-after-first-exit".into()
+            }
+            fn plan(&mut self, _ctx: &PlanContext<'_>) -> PlannerDecision {
+                self.calls += 1;
+                if self.calls == 2 && self.armed.load(Ordering::SeqCst) {
+                    self.gate.raise();
+                }
+                PlannerDecision::Plan(ExitPlan::full(3))
+            }
+        }
+
+        let gate = PreemptionGate::new();
+        let armed = Arc::new(AtomicBool::new(false));
+        let (planner_gate, planner_armed) = (gate.clone(), Arc::clone(&armed));
+        let pool = ExecutorPool::spawn(
+            net(),
+            move |_| {
+                let (gate, armed) = (planner_gate.clone(), Arc::clone(&planner_armed));
+                Box::new(crate::FnSource::new("cutter", move || {
+                    Box::new(CutAfterFirstExit {
+                        gate: gate.clone(),
+                        armed: Arc::clone(&armed),
+                        calls: 0,
+                    }) as Box<dyn Planner>
+                }))
+            },
+            gate.clone(),
+            PoolConfig {
+                workers: 1,
+                queue_capacity: 16,
+                max_batch: 2,
+                // Makes a full run (3 blocks) plainly longer than a cut one.
+                block_delay: Duration::from_millis(5),
+                ..PoolConfig::default()
+            },
+        );
+        let run_pair = || -> Vec<TaskOutcome> {
+            let replies: Vec<_> = (0..2)
+                .map(|_| pool.submit(InferenceRequest::new(input())).unwrap())
+                .collect();
+            replies
+                .into_iter()
+                .map(|r| r.recv().unwrap().unwrap())
+                .collect()
+        };
+        for _ in 0..3 {
+            assert!(run_pair().iter().all(TaskOutcome::is_complete));
+        }
+        // Whether the pairs ran stacked or one by one is the hold policy's
+        // business; either way both sizes now have an estimate.
+        let learned = |b| pool.queue.expected_service_us(b).expect("dispatches ran");
+        let before = [learned(1), learned(2)];
+        assert!(before[1] >= 15_000.0, "three delayed blocks: {before:?} us");
+        // Cut the next pair short: mid-flight if it runs stacked, the second
+        // task on arrival if it runs one by one.
+        armed.store(true, Ordering::SeqCst);
+        for o in run_pair() {
+            assert_eq!(o.status, TaskStatus::Preempted);
+            assert!(o.blocks_run <= 1);
+        }
+        gate.lower();
+        // A dispatch cut short is not a sample of what its size costs.
+        assert_eq!([learned(1), learned(2)], before);
         pool.shutdown();
     }
 }

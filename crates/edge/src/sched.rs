@@ -168,6 +168,12 @@ impl<T: SchedTask> SchedQueue<T> {
             .observe_service(batch, u64::try_from(total.as_micros()).unwrap_or(u64::MAX));
     }
 
+    /// What the gain model expects a batch of `batch` to take.
+    #[cfg(test)]
+    pub(crate) fn expected_service_us(&self, batch: usize) -> Option<f64> {
+        self.lock().gain.expected_service_us(batch)
+    }
+
     /// Blocks until at least one task is available (or the queue is closed
     /// and drained — then `None`), and returns a batch of 1..=`max_batch`
     /// compatible tasks led by the EDF head.

@@ -2,7 +2,7 @@
 //! and SLO-driven replica autoscaling.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -238,69 +238,39 @@ impl ModelRegistry {
         self.models.iter().find(|m| m.name == name)
     }
 
+    /// [`ModelRegistry::submit_callback`] with a callback that sends on the
+    /// returned channel, which yields the task's [`TaskResult`].
+    ///
+    /// # Errors
+    ///
+    /// The same routing errors as [`ModelRegistry::submit_callback`].
+    pub fn submit(
+        &self,
+        name: &str,
+        request: InferenceRequest,
+    ) -> Result<Receiver<TaskResult>, RouteError> {
+        let (tx, rx) = channel();
+        // A vanished receiver is fine: the requester gave up.
+        let reply = Box::new(move |result| drop(tx.send(result)));
+        self.submit_callback(name, request, reply)
+            .map(|_task_id| rx)
+            .map_err(|(err, _reply)| err)
+    }
+
     /// Routes `request` to a replica of `name`: the weighted-round-robin
     /// pick first, then spillover through the remaining replicas when it is
-    /// full. The returned channel yields the task's [`TaskResult`].
+    /// full. The result is delivered through `on_complete` (invoked exactly
+    /// once, on the worker thread that finishes the task), so no thread
+    /// parks per request — the readiness-driven ingest path. Returns the
+    /// pool-assigned task id.
     ///
     /// # Errors
     ///
     /// [`RouteError::UnknownModel`] for an unregistered name;
     /// [`RouteError::Shed`] when every replica refused with `QueueFull`
     /// (the explicit 429-style outcome); [`RouteError::Closed`] when the
-    /// pools are shutting down.
-    pub fn submit(
-        &self,
-        name: &str,
-        request: InferenceRequest,
-    ) -> Result<Receiver<TaskResult>, RouteError> {
-        let _route = trace::span_args(
-            Category::Queue,
-            "route",
-            Args::one("trace", request.trace()),
-        );
-        let Some(entry) = self.entry(name) else {
-            trivial_flow(request.trace());
-            return Err(RouteError::UnknownModel);
-        };
-        let set = entry.set.read().expect("lock");
-        let slot = entry.cursor.fetch_add(1, Ordering::Relaxed) as usize % set.schedule.len();
-        let first = set.schedule[slot] as usize;
-        let n = set.replicas.len();
-        let mut closed = false;
-        // The scheduled replica, then the others in ring order: a full
-        // queue on one replica spills to its siblings before shedding.
-        // Requests are cheap to clone (the tensor buffer is the payload and
-        // spillover is the cold path).
-        for offset in 0..n {
-            let idx = (first + offset) % n;
-            match set.replicas[idx].submit(request.clone()) {
-                Ok(rx) => {
-                    entry.routed.fetch_add(1, Ordering::Relaxed);
-                    return Ok(rx);
-                }
-                Err(SubmitError::QueueFull) => {}
-                Err(SubmitError::WorkerGone) => closed = true,
-            }
-        }
-        trivial_flow(request.trace());
-        if closed {
-            return Err(RouteError::Closed);
-        }
-        entry.shed_queue_full.fetch_add(1, Ordering::Relaxed);
-        trace::instant(Category::Queue, "route_shed", Args::none());
-        Err(RouteError::Shed)
-    }
-
-    /// Routes `request` like [`ModelRegistry::submit`], but delivers the
-    /// result through `on_complete` (invoked exactly once, on the worker
-    /// thread that finishes the task) instead of a blocking channel — the
-    /// readiness-driven ingest path. Returns the pool-assigned task id.
-    ///
-    /// # Errors
-    ///
-    /// The same routing errors as [`ModelRegistry::submit`], with the
-    /// unused callback handed back so the caller can answer the requester
-    /// directly.
+    /// pools are shutting down — each with the unused callback handed back
+    /// so the caller can answer the requester directly.
     pub fn submit_callback(
         &self,
         name: &str,
@@ -322,6 +292,10 @@ impl ModelRegistry {
         let n = set.replicas.len();
         let mut closed = false;
         let mut cb = on_complete;
+        // The scheduled replica, then the others in ring order: a full
+        // queue on one replica spills to its siblings before shedding.
+        // Requests are cheap to clone (the tensor buffer is the payload and
+        // spillover is the cold path).
         for offset in 0..n {
             let idx = (first + offset) % n;
             match set.replicas[idx].submit_with(request.clone(), cb) {
