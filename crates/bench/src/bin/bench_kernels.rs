@@ -1,6 +1,12 @@
 //! Kernel speedup runner: times the naive seed kernels against the blocked,
-//! threaded replacements on Fig. 4-scale GEMM and conv-forward shapes, and
-//! writes `results/bench_kernels.json` (hand-rolled JSON, no serde).
+//! threaded replacements on Fig. 4-scale GEMM and conv-forward shapes and on
+//! the products the served zoo models actually run, times two served
+//! convolutions solo and stacked, and writes `results/bench_kernels.json`.
+//!
+//! `--gate` exits non-zero when stacking eight samples through the
+//! mid-depth `vgg16_fine` convolution does not cut its per-sample time by
+//! [`MIN_STACKED_GAIN`]: a convolution that lowers and multiplies sample by
+//! sample measures ≈ 1.0 there.
 //!
 //! Environment:
 //! * `EINET_BENCH_BUDGET_MS` — per-case measurement budget (default 300).
@@ -12,6 +18,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use einet_tensor::{mm, num_threads, set_num_threads, Conv2d, Layer, Mode, Tensor};
+use einet_trace::json::JsonWriter;
+
+/// `--gate`: least per-sample gain at B=8 of the gated stacked convolution.
+const MIN_STACKED_GAIN: f64 = 1.3;
+/// `--gate`: the [`StackedConv`] it applies to.
+const GATED_CONV: &str = "stacked_vgg16_fine_mid";
 
 /// The seed's GEMM: i-k-j loop order with the data-dependent zero skip —
 /// the baseline every speedup in the report is measured against.
@@ -132,23 +144,43 @@ impl Case {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// One convolution's forward timed on one sample and on a stack of eight.
+struct StackedConv {
+    name: &'static str,
+    shape: String,
+    per_sample_b1_us: f64,
+    per_sample_b8_us: f64,
+}
+
+impl StackedConv {
+    /// Per-sample time solo ÷ per-sample time in a batch of eight.
+    fn gain_b8(&self) -> f64 {
+        self.per_sample_b1_us / self.per_sample_b8_us
+    }
 }
 
 fn main() {
     if let Ok(t) = std::env::var("EINET_THREADS") {
         set_num_threads(t.parse().unwrap_or(0));
     }
+    let gate = std::env::args().any(|a| a == "--gate");
     let mut cases: Vec<Case> = Vec::new();
 
     // GEMM shapes: (out_c × kk × oh*ow) products of MSDNet/VGG-style blocks
-    // at the paper's 16×16 and 32×32 inputs, plus one large square.
+    // at the paper's 16×16 and 32×32 inputs, plus one large square; then
+    // the one-sample products the served zoo models run at 16×16 —
+    // b_alexnet's first conv, a mid and a deep vgg16_fine conv and its 1×1
+    // head, a mid msdnet40 dense conv.
     for (name, m, k, n) in [
         ("gemm_block_shallow", 64, 27, 1024),
         ("gemm_block_mid", 96, 576, 256),
         ("gemm_block_deep", 128, 1152, 64),
         ("gemm_square", 256, 256, 256),
+        ("gemm_served_alexnet_conv1", 12, 27, 256),
+        ("gemm_served_vgg_mid", 24, 216, 16),
+        ("gemm_served_msdnet_dense", 3, 180, 64),
+        ("gemm_served_vgg_deep", 32, 288, 1),
+        ("gemm_served_vgg_head", 48, 32, 1),
     ] {
         let a = random_data(m * k, 1);
         let b = random_data(k * n, 2);
@@ -212,25 +244,77 @@ fn main() {
         });
     }
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"benchmark\": \"kernels\",\n");
-    json.push_str(&format!("  \"threads\": {},\n", num_threads()));
-    json.push_str(&format!(
-        "  \"budget_ms\": {},\n  \"cases\": [\n",
-        budget().as_millis()
-    ));
-    for (i, c) in cases.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"shape\": \"{}\", \"naive_ms\": {:.6}, \"optimized_ms\": {:.6}, \"speedup\": {:.3}}}{}\n",
-            json_escape(&c.name),
-            json_escape(&c.shape),
-            c.naive_ms,
-            c.optimized_ms,
-            c.speedup(),
-            if i + 1 == cases.len() { "" } else { "," }
-        ));
+    // Served convolutions, one sample against a stack of eight: vgg16_fine's
+    // mid-depth conv (block 8 of 14: 32→32 on a 2×2 map) and one of
+    // msdnet40's deep dense convs (61→3 on a 4×4 map).
+    let mut stacked: Vec<StackedConv> = Vec::new();
+    for (name, in_c, out_c, hw) in [
+        (GATED_CONV, 32_usize, 32_usize, 2_usize),
+        ("stacked_msdnet40_deep_dense", 61, 3, 4),
+    ] {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut conv = Conv2d::new(in_c, out_c, 3, 1, 1, &mut rng);
+        eprintln!("timing {name} ({in_c}->{out_c} @{hw}x{hw}, B=1 and B=8) ...");
+        let mut per_sample_us = |batch: usize| {
+            let data = random_data(batch * in_c * hw * hw, 12);
+            let x = Tensor::new(&[batch, in_c, hw, hw], data).unwrap();
+            let ms = time_median(|| {
+                std::hint::black_box(conv.forward(&x, Mode::Eval));
+            });
+            ms * 1e3 / batch as f64
+        };
+        stacked.push(StackedConv {
+            name,
+            shape: format!("c{in_c}to{out_c}_{hw}x{hw}_k3"),
+            per_sample_b1_us: per_sample_us(1),
+            per_sample_b8_us: per_sample_us(8),
+        });
     }
-    json.push_str("  ]\n}\n");
+
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("benchmark");
+    w.string("kernels");
+    w.key("threads");
+    w.number_u64(num_threads() as u64);
+    w.key("budget_ms");
+    w.number_u64(budget().as_millis() as u64);
+    w.key("cases");
+    w.begin_array();
+    for c in &cases {
+        w.begin_object();
+        w.key("name");
+        w.string(&c.name);
+        w.key("shape");
+        w.string(&c.shape);
+        w.key("naive_ms");
+        w.number_f64(c.naive_ms);
+        w.key("optimized_ms");
+        w.number_f64(c.optimized_ms);
+        w.key("speedup");
+        w.number_f64(c.speedup());
+        w.end_object();
+    }
+    w.end_array();
+    w.key("stacked_conv");
+    w.begin_array();
+    for c in &stacked {
+        w.begin_object();
+        w.key("name");
+        w.string(c.name);
+        w.key("shape");
+        w.string(&c.shape);
+        w.key("per_sample_b1_us");
+        w.number_f64(c.per_sample_b1_us);
+        w.key("per_sample_b8_us");
+        w.number_f64(c.per_sample_b8_us);
+        w.key("gain_b8");
+        w.number_f64(c.gain_b8());
+        w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+    let json = w.finish() + "\n";
 
     std::fs::create_dir_all("results").expect("create results dir");
     std::fs::write("results/bench_kernels.json", &json).expect("write results/bench_kernels.json");
@@ -249,7 +333,39 @@ fn main() {
         );
     }
     println!(
+        "\n{:<28} {:>12} {:>12} {:>9}",
+        "stacked conv (per sample)", "B=1 us", "B=8 us", "gain"
+    );
+    for c in &stacked {
+        println!(
+            "{:<28} {:>12.3} {:>12.3} {:>8.2}x",
+            c.name,
+            c.per_sample_b1_us,
+            c.per_sample_b8_us,
+            c.gain_b8()
+        );
+    }
+    println!(
         "\nwrote results/bench_kernels.json ({} threads)",
         num_threads()
     );
+
+    if gate {
+        let gated = stacked
+            .iter()
+            .find(|c| c.name == GATED_CONV)
+            .expect("the gated conv is timed above");
+        if gated.gain_b8() < MIN_STACKED_GAIN {
+            eprintln!(
+                "gate: {GATED_CONV} per-sample gain at B=8 is {:.2}, below {MIN_STACKED_GAIN}: \
+                 stacking no longer amortises the convolution",
+                gated.gain_b8()
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "gate: {GATED_CONV} gain {:.2} >= {MIN_STACKED_GAIN}",
+            gated.gain_b8()
+        );
+    }
 }

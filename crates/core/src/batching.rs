@@ -115,35 +115,28 @@ impl BatchGainModel {
         if let Some(v) = self.service_us[b - 1] {
             return Some(v);
         }
-        // Gather observed (size, time) points.
-        let pts: Vec<(f64, f64)> = self
-            .service_us
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| v.map(|t| ((i + 1) as f64, t)))
-            .collect();
-        match pts.len() {
-            0 => None,
-            1 => {
-                // One point: scale linearly through the origin offset —
-                // assume per-sample cost is constant (no batching gain
-                // assumed until proven).
-                let (sz, t) = pts[0];
-                Some(t / sz * b as f64)
-            }
-            _ => {
-                // Interpolate between the two nearest observed sizes, or
-                // extrapolate from the closest pair at either end.
-                let bf = b as f64;
-                let (lo, hi) = match pts.iter().position(|&(sz, _)| sz > bf) {
-                    Some(0) => (pts[0], pts[1]),
-                    Some(i) => (pts[i - 1], pts[i]),
-                    None => (pts[pts.len() - 2], pts[pts.len() - 1]),
-                };
-                let slope = (hi.1 - lo.1) / (hi.0 - lo.0);
-                Some((lo.1 + slope * (bf - lo.0)).max(0.0))
-            }
-        }
+        // The observed (size, time) points nearest to `b` on either side,
+        // then the next one out: scans of the fixed array, no allocation.
+        let point = |i: usize| self.service_us[i].map(|t| (i, t));
+        let below = (0..b - 1).rev().find_map(point);
+        let above = (b..MAX_TRACKED_BATCH).find_map(point);
+        let (lo, hi) = match (below, above) {
+            (None, None) => return None,
+            // Interpolate between the two nearest observed sizes ...
+            (Some(lo), Some(hi)) => (lo, hi),
+            // ... or extrapolate from the closest pair at either end.
+            (None, Some(lo)) => match (lo.0 + 1..MAX_TRACKED_BATCH).find_map(point) {
+                Some(hi) => (lo, hi),
+                None => return Some(proportional(lo, b)),
+            },
+            (Some(hi), None) => match (0..hi.0).rev().find_map(point) {
+                Some(lo) => (lo, hi),
+                None => return Some(proportional(hi, b)),
+            },
+        };
+        let (lo_size, hi_size) = ((lo.0 + 1) as f64, (hi.0 + 1) as f64);
+        let slope = (hi.1 - lo.1) / (hi_size - lo_size);
+        Some((lo.1 + slope * (b as f64 - lo_size)).max(0.0))
     }
 
     /// Expected arrival gap in µs, if any arrivals have been observed.
@@ -184,9 +177,76 @@ impl BatchGainModel {
     }
 }
 
+/// One observed point `(slot, time)` scaled to a batch of `b`: per-sample
+/// cost assumed constant (no batching gain assumed until proven).
+fn proportional((slot, t): (usize, f64), b: usize) -> f64 {
+    t / (slot + 1) as f64 * b as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `expected_service_us` as it was written before the neighbour search
+    /// became a scan: collect the observed points, then pick by position.
+    fn expected_by_collecting(m: &BatchGainModel, batch: usize) -> Option<f64> {
+        if batch == 0 {
+            return Some(0.0);
+        }
+        let b = batch.min(MAX_TRACKED_BATCH);
+        if let Some(v) = m.service_us[b - 1] {
+            return Some(v);
+        }
+        let pts: Vec<(f64, f64)> = m
+            .service_us
+            .iter()
+            .enumerate()
+            .filter_map(|(i, v)| v.map(|t| ((i + 1) as f64, t)))
+            .collect();
+        match pts.len() {
+            0 => None,
+            1 => Some(pts[0].1 / pts[0].0 * b as f64),
+            _ => {
+                let bf = b as f64;
+                let (lo, hi) = match pts.iter().position(|&(sz, _)| sz > bf) {
+                    Some(0) => (pts[0], pts[1]),
+                    Some(i) => (pts[i - 1], pts[i]),
+                    None => (pts[pts.len() - 2], pts[pts.len() - 1]),
+                };
+                let slope = (hi.1 - lo.1) / (hi.0 - lo.0);
+                Some((lo.1 + slope * (bf - lo.0)).max(0.0))
+            }
+        }
+    }
+
+    #[test]
+    fn scanning_matches_collecting_on_random_observed_subsets() {
+        let mut rng = SmallRng::seed_from_u64(0x6261_7463);
+        for case in 0..400 {
+            // From empty to nearly full curves, not monotone on purpose.
+            let density = rng.gen_range(0.0..1.0) * (case % 4) as f64 / 3.0;
+            let mut m = BatchGainModel::new();
+            for b in 1..=MAX_TRACKED_BATCH {
+                if rng.gen_range(0.0..1.0) < density {
+                    m.observe_service(b, rng.gen_range(1..50_000));
+                }
+            }
+            for batch in 0..=MAX_TRACKED_BATCH + 3 {
+                let (got, want) = (
+                    m.expected_service_us(batch),
+                    expected_by_collecting(&m, batch),
+                );
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "case {case}, batch {batch}: {got:?} vs {want:?} on {:?}",
+                    m.service_us
+                );
+            }
+        }
+    }
 
     #[test]
     fn cold_model_never_holds() {

@@ -21,11 +21,16 @@
 //!   finalized mid-batch, leadership passes to the next active member and
 //!   the planner sees that member's own confidences from then on.
 //!
-//! Per-sample results do not depend on the batch size: convolution
-//! processes batch samples independently, the linear layers accumulate in
-//! the same k-order regardless of the row count, batch norm runs in `Eval`
-//! mode on running statistics, and softmax/argmax are row-local.
-//! `crates/models/tests/batch_equivalence.rs` pins this.
+//! Per-sample results do not depend on the batch size. Convolution lowers
+//! the whole batch into one column matrix and runs one GEMM over it — that
+//! is where stacking pays: the weights are packed once per batch and tiny
+//! feature maps fill the kernel's vector lanes together — but every output
+//! element is still one `p = 0..k` accumulation chain over its own column,
+//! so which other samples share the matrix cannot change a bit of it. The
+//! linear layers accumulate in the same k-order regardless of the row
+//! count, batch norm runs in `Eval` mode on running statistics, and
+//! softmax/argmax are row-local. `crates/models/tests/batch_equivalence.rs`
+//! pins this on every zoo model the benchmark serves.
 
 use std::time::Duration;
 

@@ -61,18 +61,15 @@ impl Layer for DenseConv {
         let new = self.conv.forward(input, mode);
         let new = self.bn.forward(&new, mode);
         let new = self.relu.forward(&new, mode);
-        // Channel concat: [n, in_c + growth, h, w].
+        // Channel concat: [n, in_c + growth, h, w], each sample's
+        // passthrough planes then its new ones, appended in order.
         let out_c = self.in_c + self.growth;
-        let mut out = vec![0.0_f32; n * out_c * h * w];
-        let x = input.as_slice();
-        let nv = new.as_slice();
         let hw = h * w;
-        for ni in 0..n {
-            let dst = &mut out[ni * out_c * hw..(ni + 1) * out_c * hw];
-            dst[..self.in_c * hw]
-                .copy_from_slice(&x[ni * self.in_c * hw..(ni + 1) * self.in_c * hw]);
-            dst[self.in_c * hw..]
-                .copy_from_slice(&nv[ni * self.growth * hw..(ni + 1) * self.growth * hw]);
+        let mut out = Vec::with_capacity(n * out_c * hw);
+        let passthrough = input.as_slice().chunks_exact(self.in_c * hw);
+        for (x, nv) in passthrough.zip(new.as_slice().chunks_exact(self.growth * hw)) {
+            out.extend_from_slice(x);
+            out.extend_from_slice(nv);
         }
         Tensor::new(&[n, out_c, h, w], out).expect("dense concat shape consistent")
     }

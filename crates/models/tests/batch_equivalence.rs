@@ -5,7 +5,7 @@
 //! throughput lever, never an accuracy or determinism knob.
 
 use einet_models::{zoo, BranchSpec, ModelKind, MultiExitNet};
-use einet_tensor::Tensor;
+use einet_tensor::{Mode, Tensor};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,4 +80,39 @@ fn batched_execution_is_bit_identical_on_vgg() {
 fn batch_of_one_equals_single_sample_path() {
     // The degenerate batch must follow the exact same code path contract.
     assert_bit_identical("alex", 1, [1, 16, 16], 31);
+}
+
+#[test]
+fn served_models_stack_bit_identically_at_every_exit() {
+    // The two models the serving benchmark runs stacked or deep. vgg16-fine
+    // ends in 1×1-spatial convolutions and a 1×1 head, where a sample is a
+    // single column of the lowered batch; msdnet40 is made of 3-channel
+    // dense convolutions and 1×1 transitions. Raw logits, not the softmax
+    // maximum: a confidence can hide a differing bit in a losing class.
+    for (kind, seed) in [(ModelKind::Vgg16Fine, 41_u64), (ModelKind::MsdNet40, 42)] {
+        let shape = [3, 16, 16];
+        let mut net = kind.build(shape, 10, &BranchSpec::paper_default(), seed);
+        for batch in [2, 3, 8] {
+            let x = random_batch(shape, batch, seed + batch as u64);
+            let stacked = net.forward_all(&x, Mode::Eval);
+            assert_eq!(stacked.len(), net.num_exits());
+            for j in 0..batch {
+                let solo = net.forward_all(&x.batch_slice(j, j + 1), Mode::Eval);
+                for (exit, (s, b)) in solo.iter().zip(&stacked).enumerate() {
+                    let same = s
+                        .as_slice()
+                        .iter()
+                        .zip(b.row(j))
+                        .all(|(s, b)| s.to_bits() == b.to_bits());
+                    assert!(
+                        same,
+                        "{} b={batch} sample {j} exit {exit}: {:?} vs {:?}",
+                        kind.id(),
+                        s.as_slice(),
+                        b.row(j)
+                    );
+                }
+            }
+        }
+    }
 }

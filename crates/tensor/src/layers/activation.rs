@@ -6,7 +6,9 @@ use crate::tensor::Tensor;
 /// Rectified linear unit, applied element-wise.
 #[derive(Debug, Default, Clone)]
 pub struct ReLu {
-    mask: Vec<bool>,
+    /// Which inputs of the last `Train` forward were positive; `None` when
+    /// there is nothing to back-propagate.
+    mask: Option<Vec<bool>>,
 }
 
 impl ReLu {
@@ -17,21 +19,22 @@ impl ReLu {
 }
 
 impl Layer for ReLu {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        self.mask = input.as_slice().iter().map(|&v| v > 0.0).collect();
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        self.mask =
+            (mode == Mode::Train).then(|| input.as_slice().iter().map(|&v| v > 0.0).collect());
         input.map(|v| v.max(0.0))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        assert_eq!(
-            grad_output.len(),
-            self.mask.len(),
-            "relu backward without matching forward"
-        );
+        let mask = self
+            .mask
+            .take()
+            .filter(|mask| mask.len() == grad_output.len())
+            .expect("relu backward without matching forward");
         let data = grad_output
             .as_slice()
             .iter()
-            .zip(self.mask.iter())
+            .zip(mask.iter())
             .map(|(&g, &m)| if m { g } else { 0.0 })
             .collect();
         Tensor::new(grad_output.shape(), data).expect("relu grad shape consistent")
@@ -117,10 +120,22 @@ mod tests {
     fn relu_clamps_negatives() {
         let mut relu = ReLu::new();
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0]);
-        let y = relu.forward(&x, Mode::Eval);
+        assert_eq!(relu.forward(&x, Mode::Eval).as_slice(), &[0.0, 0.0, 2.0]);
+        let y = relu.forward(&x, Mode::Train);
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
         let g = relu.backward(&Tensor::from_vec(vec![1.0, 1.0, 1.0]));
         assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "relu backward without matching forward")]
+    fn relu_backward_after_an_eval_forward_panics() {
+        let mut relu = ReLu::new();
+        let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0]);
+        // A stale Train forward must not survive the Eval one either.
+        relu.forward(&x, Mode::Train);
+        relu.forward(&x, Mode::Eval);
+        relu.backward(&Tensor::from_vec(vec![1.0, 1.0, 1.0]));
     }
 
     #[test]

@@ -1,21 +1,28 @@
-//! 2-D convolution via im2col + GEMM.
+//! 2-D convolution lowered to one batch-wide GEMM.
 
 use rand::rngs::SmallRng;
 
 use crate::init::kaiming_uniform;
 use crate::layer::{Layer, Mode, Param};
-use crate::matmul::{mm_a_bt, mm_at_b, mm_into};
-use crate::parallel::{for_each_chunk, num_threads, PAR_MIN_WORK};
+use crate::matmul::{mm_a_bt, mm_at_b, mm_packed_into, PackedB};
 use crate::tensor::Tensor;
 
 /// A 2-D convolution layer over `[n, c, h, w]` tensors.
 ///
-/// The forward pass lowers each sample to a column matrix (im2col) and runs a
-/// single GEMM per sample — the standard CPU strategy. Samples are
-/// distributed over the worker pool (`parallel.rs`) when the batch is large
-/// enough, and the per-sample column buffers are retained across calls (for
-/// the backward pass *and* as reusable scratch: repeated same-shape forwards
-/// — the elastic executor's steady state — allocate nothing).
+/// The forward pass lowers the **whole batch** into one column matrix
+/// `[in_c·k·k, n·oh·ow]` (im2col; sample `i` owns columns
+/// `i·oh·ow .. (i+1)·oh·ow`) and multiplies it by the weights in a single
+/// GEMM, so the weights are packed once per call and a batch of tiny feature
+/// maps still fills the kernel's vector lanes. The matrix is written straight
+/// into the GEMM's packed operand layout ([`PackedB`]) — there is no
+/// row-major intermediate — and is retained across calls: as scratch
+/// (repeated same-shape forwards, the elastic executor's steady state,
+/// allocate nothing but their output) and, after a [`Mode::Train`] forward,
+/// for the backward pass.
+///
+/// Every output element is one `p = 0..in_c·k·k` accumulation chain over its
+/// own column (see `matmul.rs`), so a sample's output does not depend on
+/// which other samples share the batch, bit for bit.
 ///
 /// # Example
 ///
@@ -38,7 +45,15 @@ pub struct Conv2d {
     k: usize,
     stride: usize,
     pad: usize,
-    cached_cols: Vec<Vec<f32>>,
+    /// The lowered batch, `[in_c*k*k, n*oh*ow]`.
+    cols: PackedB,
+    /// Lowering scratch: one sample's column-shifted planes.
+    shifted: Vec<f32>,
+    /// The GEMM result `[out_c, n*oh*ow]` of a multi-sample batch, before it
+    /// is regrouped by sample.
+    product: Vec<f32>,
+    /// Input shape of the last `Train` forward; empty when there is nothing
+    /// to back-propagate.
     cached_in_shape: Vec<usize>,
 }
 
@@ -69,7 +84,9 @@ impl Conv2d {
             k,
             stride,
             pad,
-            cached_cols: Vec::new(),
+            cols: PackedB::default(),
+            shifted: Vec::new(),
+            product: Vec::new(),
             cached_in_shape: Vec::new(),
         }
     }
@@ -88,69 +105,99 @@ impl Conv2d {
     pub fn out_channels(&self) -> usize {
         self.out_c
     }
+
+    /// Lowers an `[n, in_c, h, w]` batch into `self.cols` (already shaped).
+    ///
+    /// Row `(ci, ki, kj)` of the lowered matrix holds, for every output
+    /// position, the input element kernel tap `(ki, kj)` of channel `ci`
+    /// reads there, or zero in the padding. Per sample, [`shift_planes`]
+    /// first gathers `k` column-shifted copies of every plane whose rows are
+    /// grouped by their phase modulo the stride; the `oh` rows a tap reads
+    /// are then consecutive in one of them, so each sample's part of a
+    /// lowered row is one contiguous copy, whatever the stride — with no
+    /// per-element bounds test and no zero-fill.
+    fn lower(&mut self, x: &[f32], h: usize, w: usize) {
+        let (c, k, stride, pad) = (self.in_c, self.k, self.stride, self.pad);
+        let (oh, ow) = (self.out_dim(h), self.out_dim(w));
+        let per_sample = oh * ow;
+        let hp = h + 2 * pad;
+        // Phases below `hp % stride` hold one row more than the others.
+        let (phase_rows, long_phases) = (hp / stride, hp % stride);
+        // A stride-1 1×1 kernel's only shifted copy is the input itself.
+        let in_place = k == 1 && stride == 1 && pad == 0;
+        // The borders are zeroed here, once, and never written again.
+        self.shifted.clear();
+        if !in_place {
+            self.shifted.resize(k * c * hp * ow, 0.0);
+        }
+        for (i, sample) in x.chunks_exact(c * h * w).enumerate() {
+            let shifted = if in_place {
+                sample
+            } else {
+                shift_planes(sample, c, w, stride, pad, ow, &mut self.shifted);
+                &self.shifted
+            };
+            let mut row = self.cols.cursor(0, i * per_sample);
+            for ci in 0..c {
+                // Padded row `ki` is row `ki / stride` of phase `ki % stride`.
+                let (mut phase, mut phase_row) = (0, 0);
+                for _ki in 0..k {
+                    let first = phase * phase_rows + phase.min(long_phases) + phase_row;
+                    for kj in 0..k {
+                        let taps = ((kj * c + ci) * hp + first) * ow;
+                        self.cols.write_row(row, &shifted[taps..taps + per_sample]);
+                        row = row.below(1);
+                    }
+                    phase += 1;
+                    if phase == stride {
+                        (phase, phase_row) = (0, phase_row + 1);
+                    }
+                }
+            }
+        }
+    }
 }
 
-/// Lowers one `[c, h, w]` sample into an `[c*k*k, oh*ow]` column matrix.
-#[cfg(test)]
-pub(crate) fn im2col(
-    x: &[f32],
+/// Writes one sample's `c` input planes `[h, w]` into `shifted`, laid out
+/// `[k, c, h + 2*pad, ow]`: copy `kj` of plane `ci` holds element
+/// `(r, oj*stride + kj)` of the zero-padded plane at column `oj` of the row
+/// that stands for `r`. Rows are grouped by phase: first those with
+/// `r % stride == 0` in ascending order, then `r % stride == 1`, and so on.
+/// Only in-range elements are written; the caller zeroes the rest once per
+/// geometry.
+fn shift_planes(
+    sample: &[f32],
     c: usize,
-    h: usize,
     w: usize,
-    k: usize,
     stride: usize,
     pad: usize,
-) -> Vec<f32> {
-    let mut cols = Vec::new();
-    im2col_into(x, c, h, w, k, stride, pad, &mut cols);
-    cols
-}
-
-/// [`im2col`] into a caller-owned buffer, reusing its capacity.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn im2col_into(
-    x: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    cols: &mut Vec<f32>,
+    ow: usize,
+    shifted: &mut [f32],
 ) {
-    let oh = (h + 2 * pad - k) / stride + 1;
-    let ow = (w + 2 * pad - k) / stride + 1;
-    cols.clear();
-    cols.resize(c * k * k * oh * ow, 0.0);
-    for ci in 0..c {
-        for ki in 0..k {
-            for kj in 0..k {
-                let row = (ci * k + ki) * k + kj;
-                let base = row * oh * ow;
-                for oi in 0..oh {
-                    let ih = (oi * stride + ki) as isize - pad as isize;
-                    if ih < 0 || ih >= h as isize {
+    let h = sample.len() / (c * w);
+    let hp = h + 2 * pad;
+    for (kj, copies) in shifted.chunks_exact_mut(c * hp * ow).enumerate() {
+        // Output columns lo..hi read inside the input row.
+        let lo = pad.saturating_sub(kj).div_ceil(stride);
+        let hi = (w + pad).saturating_sub(kj).div_ceil(stride).min(ow);
+        if lo >= hi {
+            continue;
+        }
+        let first = lo * stride + kj - pad;
+        let mut rows = copies.chunks_exact_mut(ow);
+        for plane in sample.chunks_exact(h * w) {
+            for phase in 0..stride {
+                for r in (phase..hp).step_by(stride) {
+                    let dst = rows.next().expect("one row per padded row");
+                    if r < pad || r >= h + pad {
                         continue;
                     }
-                    let in_base = (ci * h + ih as usize) * w;
-                    let dst_base = base + oi * ow;
+                    let (dst, src) = (&mut dst[lo..hi], &plane[(r - pad) * w + first..]);
                     if stride == 1 {
-                        // `iw = oj + kj - pad` walks the input row with unit
-                        // stride, so the valid span is one contiguous copy.
-                        let lo = pad.saturating_sub(kj);
-                        let hi = (w + pad).saturating_sub(kj).min(ow);
-                        if lo < hi {
-                            let src = in_base + lo + kj - pad;
-                            cols[dst_base + lo..dst_base + hi]
-                                .copy_from_slice(&x[src..src + hi - lo]);
-                        }
+                        dst.copy_from_slice(&src[..dst.len()]);
                     } else {
-                        for oj in 0..ow {
-                            let iw = (oj * stride + kj) as isize - pad as isize;
-                            if iw < 0 || iw >= w as isize {
-                                continue;
-                            }
-                            cols[dst_base + oj] = x[in_base + iw as usize];
+                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                            *d = v;
                         }
                     }
                 }
@@ -159,7 +206,8 @@ pub(crate) fn im2col_into(
     }
 }
 
-/// Reverses [`im2col`]: scatters column gradients back into an image gradient.
+/// Reverses the lowering of one sample: scatters `[c*k*k, oh*ow]` column
+/// gradients back into an image gradient.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn col2im(
     cols: &[f32],
@@ -198,91 +246,88 @@ pub(crate) fn col2im(
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "conv2d expects [n,c,h,w]");
         assert_eq!(shape[1], self.in_c, "conv2d channel mismatch");
         let (n, h, w) = (shape[0], shape[2], shape[3]);
-        let (oh, ow) = (self.out_dim(h), self.out_dim(w));
-        let per_in = self.in_c * h * w;
-        let per_out = self.out_c * oh * ow;
+        let per_sample = self.out_dim(h) * self.out_dim(w);
+        let per_out = self.out_c * per_sample;
         let kk = self.in_c * self.k * self.k;
-        let mut out = vec![0.0_f32; n * per_out];
-        // Keep n slots, reusing previous allocations as im2col scratch.
-        self.cached_cols.resize_with(n, Vec::new);
-        self.cached_in_shape = shape.to_vec();
-        let x = input.as_slice();
+        self.cols.reshape(self.out_c, kk, n * per_sample);
+        self.lower(input.as_slice(), h, w);
         let wt = self.weight.value.as_slice();
         let b = self.bias.value.as_slice();
-        let (in_c, kc, stride, pad, out_c) = (self.in_c, self.k, self.stride, self.pad, self.out_c);
-        let macs = n * out_c * kk * oh * ow;
-        let threads = if macs >= PAR_MIN_WORK {
-            num_threads()
-        } else {
-            1
-        };
-        let mut jobs: Vec<(usize, &mut [f32], &mut Vec<f32>)> = out
-            .chunks_mut(per_out)
-            .zip(self.cached_cols.iter_mut())
-            .enumerate()
-            .map(|(i, (dst, cols))| (i, dst, cols))
-            .collect();
-        for_each_chunk(&mut jobs, 1, threads, |_, job| {
-            let (i, dst, cols) = &mut job[0];
-            im2col_into(
-                &x[*i * per_in..(*i + 1) * per_in],
-                in_c,
-                h,
-                w,
-                kc,
-                stride,
-                pad,
-                cols,
-            );
-            mm_into(wt, cols, dst, out_c, kk, oh * ow);
-            for (oc, row) in dst.chunks_mut(oh * ow).enumerate() {
-                let bias = b[oc];
+        let mut out = vec![0.0_f32; n * per_out];
+        if n == 1 {
+            // One sample's `[out_c, oh*ow]` product is the output itself.
+            mm_packed_into(wt, &self.cols, &mut out, self.out_c);
+            for (row, &bias) in out.chunks_mut(per_sample).zip(b) {
                 for v in row {
                     *v += bias;
                 }
             }
-        });
-        Tensor::new(&[n, self.out_c, oh, ow], out).expect("conv output shape consistent")
+        } else {
+            self.product.resize(n * per_out, 0.0);
+            mm_packed_into(wt, &self.cols, &mut self.product, self.out_c);
+            // Regroup `[out_c, n, oh*ow]` by sample, adding the bias on the way.
+            for (i, sample) in out.chunks_mut(per_out.max(1)).enumerate() {
+                let rows = self.product.chunks(n * per_sample);
+                for ((dst, src), &bias) in sample.chunks_mut(per_sample).zip(rows).zip(b) {
+                    let src = &src[i * per_sample..(i + 1) * per_sample];
+                    for (d, &s) in dst.iter_mut().zip(src) {
+                        *d = s + bias;
+                    }
+                }
+            }
+        }
+        self.cached_in_shape.clear();
+        if mode == Mode::Train {
+            self.cached_in_shape.extend_from_slice(shape);
+        }
+        Tensor::new(&[n, self.out_c, self.out_dim(h), self.out_dim(w)], out)
+            .expect("conv output shape consistent")
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         assert!(
-            !self.cached_cols.is_empty() || self.cached_in_shape.first() == Some(&0),
+            !self.cached_in_shape.is_empty(),
             "conv2d backward without forward"
         );
-        let in_shape = self.cached_in_shape.clone();
+        let in_shape = std::mem::take(&mut self.cached_in_shape);
         let (n, h, w) = (in_shape[0], in_shape[2], in_shape[3]);
-        let (oh, ow) = (self.out_dim(h), self.out_dim(w));
+        let per_sample = self.out_dim(h) * self.out_dim(w);
+        let per_out = self.out_c * per_sample;
         let kk = self.in_c * self.k * self.k;
         let g = grad_output.as_slice();
-        assert_eq!(g.len(), n * self.out_c * oh * ow, "conv2d grad shape");
+        assert_eq!(g.len(), n * per_out, "conv2d grad shape");
         let per_in = self.in_c * h * w;
         let mut grad_in = vec![0.0_f32; n * per_in];
-        let wt = self.weight.value.as_slice().to_vec();
+        let wt = self.weight.value.as_slice();
+        // Sample by sample, in batch order: `dW` and `db` are sums over the
+        // batch and this fixes the order their terms are added in.
+        let mut cols = vec![0.0_f32; kk * per_sample];
         for i in 0..n {
-            let gi = &g[i * self.out_c * oh * ow..(i + 1) * self.out_c * oh * ow];
-            let cols = &self.cached_cols[i];
+            let gi = &g[i * per_out..(i + 1) * per_out];
+            // Sample i's `[kk, oh*ow]` block of the lowered batch.
+            let top = self.cols.cursor(0, i * per_sample);
+            for (p, row) in cols.chunks_mut(per_sample.max(1)).enumerate() {
+                self.cols.read_row(top.below(p), row);
+            }
             // dW += dY * cols^T  (out_c x kk)
-            let dw = mm_a_bt(gi, cols, self.out_c, oh * ow, kk);
+            let dw = mm_a_bt(gi, &cols, self.out_c, per_sample, kk);
             self.weight.grad.add_scaled(&Tensor::from_vec(dw), 1.0);
             // db += row sums of dY
-            {
-                let db = self.bias.grad.as_mut_slice();
-                for oc in 0..self.out_c {
-                    let mut s = 0.0;
-                    for v in 0..oh * ow {
-                        s += gi[oc * oh * ow + v];
-                    }
-                    db[oc] += s;
+            let db = self.bias.grad.as_mut_slice();
+            for (d, row) in db.iter_mut().zip(gi.chunks(per_sample.max(1))) {
+                let mut s = 0.0;
+                for &v in row {
+                    s += v;
                 }
+                *d += s;
             }
             // dCols = W^T * dY (kk x oh*ow), then col2im.
-            let dcols = mm_at_b(&wt, gi, kk, self.out_c, oh * ow);
+            let dcols = mm_at_b(wt, gi, kk, self.out_c, per_sample);
             col2im(
                 &dcols,
                 self.in_c,
@@ -294,7 +339,6 @@ impl Layer for Conv2d {
                 &mut grad_in[i * per_in..(i + 1) * per_in],
             );
         }
-        self.cached_cols.clear();
         Tensor::new(&in_shape, grad_in).expect("conv grad shape consistent")
     }
 
@@ -372,15 +416,85 @@ mod tests {
         assert_eq!(y.as_slice(), x.as_slice());
     }
 
+    /// The lowered batch as a plain `[kk, n*oh*ow]` matrix.
+    fn lowered(conv: &mut Conv2d, x: &Tensor) -> Vec<f32> {
+        let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
+        let cols_n = n * conv.out_dim(h) * conv.out_dim(w);
+        let kk = conv.in_c * conv.k * conv.k;
+        conv.cols.reshape(conv.out_c, kk, cols_n);
+        conv.lower(x.as_slice(), h, w);
+        let mut out = vec![0.0; kk * cols_n];
+        for (p, row) in out.chunks_mut(cols_n).enumerate() {
+            conv.cols.read_row(conv.cols.cursor(p, 0), row);
+        }
+        out
+    }
+
     #[test]
-    fn im2col_col2im_roundtrip_counts_overlaps() {
+    fn lowering_col2im_roundtrip_is_a_bijection_for_1x1() {
         // With k=1, stride=1, pad=0 the mapping is a bijection.
-        let x = vec![1.0, 2.0, 3.0, 4.0];
-        let cols = im2col(&x, 1, 2, 2, 1, 1, 0);
-        assert_eq!(cols, x);
+        let mut conv = Conv2d::new(1, 1, 1, 1, 0, &mut rng());
+        let x = Tensor::new(&[1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let cols = lowered(&mut conv, &x);
+        assert_eq!(cols, x.as_slice());
         let mut back = vec![0.0; 4];
         col2im(&cols, 1, 2, 2, 1, 1, 0, &mut back);
-        assert_eq!(back, x);
+        assert_eq!(back, x.as_slice());
+    }
+
+    #[test]
+    fn lowering_matches_the_definition() {
+        // Every (stride, pad, k) the zoo uses, batched, on maps small enough
+        // that samples share panels and large enough that they span several;
+        // the buffer is reused between geometries, so stale contents from
+        // the previous one must never show through.
+        let mut r = rng();
+        for &(c, out_c, k, stride, pad, h, w, n) in &[
+            (2, 3, 3, 1, 1, 5, 4, 3),
+            (3, 8, 3, 2, 1, 8, 8, 2),
+            (2, 40, 3, 1, 1, 1, 1, 5),
+            (4, 5, 1, 1, 0, 3, 3, 4),
+            (3, 4, 1, 2, 0, 5, 5, 2),
+            (1, 2, 3, 2, 0, 7, 6, 1),
+        ] {
+            let mut conv = Conv2d::new(c, out_c, k, stride, pad, &mut r);
+            // Dirty the scratch with another geometry first.
+            lowered(&mut conv, &Tensor::filled(&[2, c, h + 1, w + 2], f32::NAN));
+            let x = kaiming_uniform(&[n * c * h * w], 4, &mut r)
+                .reshaped(&[n, c, h, w])
+                .unwrap();
+            let cols = lowered(&mut conv, &x);
+            let (oh, ow) = (conv.out_dim(h), conv.out_dim(w));
+            let cols_n = n * oh * ow;
+            for p in 0..c * k * k {
+                let (ci, ki, kj) = (p / (k * k), p / k % k, p % k);
+                for col in 0..cols_n {
+                    let (i, oi, oj) = (col / (oh * ow), col / ow % oh, col % ow);
+                    let (ih, iw) = (oi * stride + ki, oj * stride + kj);
+                    let want = if ih < pad || iw < pad || ih >= h + pad || iw >= w + pad {
+                        0.0
+                    } else {
+                        x.at4(i, ci, ih - pad, iw - pad)
+                    };
+                    assert_eq!(
+                        cols[p * cols_n + col].to_bits(),
+                        want.to_bits(),
+                        "conv {c}->{out_c} k{k} s{stride} p{pad} on {n}x{h}x{w}: row {p} col {col}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d backward without forward")]
+    fn backward_after_an_eval_forward_panics() {
+        let mut conv = Conv2d::new(1, 2, 3, 1, 1, &mut rng());
+        let x = Tensor::zeros(&[2, 1, 4, 4]);
+        // A stale Train forward must not survive the Eval one either.
+        conv.forward(&x, Mode::Train);
+        let y = conv.forward(&x, Mode::Eval);
+        conv.backward(&Tensor::zeros(y.shape()));
     }
 
     #[test]
@@ -401,10 +515,8 @@ mod tests {
             xp.as_mut_slice()[idx] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[idx] -= eps;
-            let sp: f32 = conv.forward(&xp, Mode::Train).as_slice().iter().sum();
-            conv.cached_cols.clear();
-            let sm: f32 = conv.forward(&xm, Mode::Train).as_slice().iter().sum();
-            conv.cached_cols.clear();
+            let sp: f32 = conv.forward(&xp, Mode::Eval).as_slice().iter().sum();
+            let sm: f32 = conv.forward(&xm, Mode::Eval).as_slice().iter().sum();
             let num = (sp - sm) / (2.0 * eps);
             let ana = gx.as_slice()[idx];
             assert!(
@@ -444,11 +556,10 @@ mod tests {
                 });
             };
             set(&wp, &mut conv);
-            let sp: f32 = conv.forward(&x, Mode::Train).as_slice().iter().sum();
+            let sp: f32 = conv.forward(&x, Mode::Eval).as_slice().iter().sum();
             set(&wm, &mut conv);
-            let sm: f32 = conv.forward(&x, Mode::Train).as_slice().iter().sum();
+            let sm: f32 = conv.forward(&x, Mode::Eval).as_slice().iter().sum();
             set(&wv, &mut conv);
-            conv.cached_cols.clear();
             let num = (sp - sm) / (2.0 * eps);
             assert!(
                 (num - wg.as_slice()[idx]).abs() < 1e-2,

@@ -68,7 +68,7 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let shape = input.shape();
         assert_eq!(shape.len(), 2, "linear expects [n, features]");
         assert_eq!(shape[1], self.in_f, "linear feature mismatch");
@@ -86,7 +86,7 @@ impl Layer for Linear {
                 out[i * self.out_f + j] += b[j];
             }
         }
-        self.cached_input = Some(input.clone());
+        self.cached_input = (mode == Mode::Train).then(|| input.clone());
         Tensor::new(&[n, self.out_f], out).expect("linear output shape consistent")
     }
 
@@ -216,6 +216,17 @@ mod tests {
     #[should_panic(expected = "backward without forward")]
     fn backward_without_forward_panics() {
         let mut fc = Linear::new(2, 2, &mut rng());
+        fc.backward(&Tensor::zeros(&[1, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "linear backward without forward")]
+    fn backward_after_an_eval_forward_panics() {
+        let mut fc = Linear::new(2, 2, &mut rng());
+        let x = Tensor::zeros(&[1, 2]);
+        // A stale Train forward must not survive the Eval one either.
+        fc.forward(&x, Mode::Train);
+        fc.forward(&x, Mode::Eval);
         fc.backward(&Tensor::zeros(&[1, 2]));
     }
 

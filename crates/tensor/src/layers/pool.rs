@@ -9,7 +9,9 @@ use crate::tensor::Tensor;
 pub struct MaxPool2d {
     k: usize,
     stride: usize,
-    argmax: Vec<usize>,
+    /// Flat input index of every output's maximum in the last `Train`
+    /// forward; `None` when there is nothing to back-propagate.
+    argmax: Option<Vec<usize>>,
     in_shape: Vec<usize>,
 }
 
@@ -24,7 +26,7 @@ impl MaxPool2d {
         MaxPool2d {
             k,
             stride,
-            argmax: Vec::new(),
+            argmax: None,
             in_shape: Vec::new(),
         }
     }
@@ -38,8 +40,12 @@ impl MaxPool2d {
     }
 }
 
+/// One `(sample, channel)` plane of a max-pool forward: its index, its
+/// output and, when training, its slice of the argmax record.
+type PlaneJob<'a> = (usize, &'a mut [f32], Option<&'a mut [usize]>);
+
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "maxpool expects [n,c,h,w]");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
@@ -47,7 +53,7 @@ impl Layer for MaxPool2d {
         assert!(oh > 0 && ow > 0, "maxpool window larger than input");
         let x = input.as_slice();
         let mut out = vec![0.0_f32; n * c * oh * ow];
-        let mut argmax = vec![0_usize; n * c * oh * ow];
+        let mut argmax = (mode == Mode::Train).then(|| vec![0_usize; n * c * oh * ow]);
         self.in_shape = shape.to_vec();
         let (k, stride) = (self.k, self.stride);
         let work = n * c * oh * ow * k * k;
@@ -58,11 +64,11 @@ impl Layer for MaxPool2d {
         };
         // One job per (sample, channel) plane; `c` planes per chunk so a
         // chunk is one sample.
-        let mut jobs: Vec<(usize, &mut [f32], &mut [usize])> = out
+        let mut argmax_planes = argmax.iter_mut().flat_map(|a| a.chunks_mut(oh * ow));
+        let mut jobs: Vec<PlaneJob<'_>> = out
             .chunks_mut(oh * ow)
-            .zip(argmax.chunks_mut(oh * ow))
             .enumerate()
-            .map(|(nc, (o, a))| (nc, o, a))
+            .map(|(nc, o)| (nc, o, argmax_planes.next()))
             .collect();
         for_each_chunk(&mut jobs, c, threads, |_, chunk| {
             for (nc, o, a) in chunk.iter_mut() {
@@ -83,7 +89,9 @@ impl Layer for MaxPool2d {
                             }
                         }
                         o[oi * ow + oj] = best;
-                        a[oi * ow + oj] = *nc * h * w + best_idx;
+                        if let Some(a) = a {
+                            a[oi * ow + oj] = *nc * h * w + best_idx;
+                        }
                     }
                 }
             }
@@ -93,13 +101,13 @@ impl Layer for MaxPool2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        assert_eq!(
-            grad_output.len(),
-            self.argmax.len(),
-            "maxpool backward without matching forward"
-        );
+        let argmax = self
+            .argmax
+            .take()
+            .filter(|argmax| argmax.len() == grad_output.len())
+            .expect("maxpool backward without matching forward");
         let mut grad_in = vec![0.0_f32; self.in_shape.iter().product()];
-        for (o, &src_idx) in self.argmax.iter().enumerate() {
+        for (o, &src_idx) in argmax.iter().enumerate() {
             grad_in[src_idx] += grad_output.as_slice()[o];
         }
         Tensor::new(&self.in_shape, grad_in).expect("maxpool grad shape consistent")
@@ -214,9 +222,20 @@ mod tests {
     fn maxpool_backward_routes_to_argmax() {
         let mut pool = MaxPool2d::new(2, 2);
         let x = Tensor::new(&[1, 1, 2, 2], vec![1.0, 9.0, 2.0, 3.0]).unwrap();
-        pool.forward(&x, Mode::Eval);
+        pool.forward(&x, Mode::Train);
         let g = pool.backward(&Tensor::new(&[1, 1, 1, 1], vec![5.0]).unwrap());
         assert_eq!(g.as_slice(), &[0.0, 5.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "maxpool backward without matching forward")]
+    fn maxpool_backward_after_an_eval_forward_panics() {
+        let mut pool = MaxPool2d::new(2, 2);
+        let x = Tensor::new(&[1, 1, 2, 2], vec![1.0, 9.0, 2.0, 3.0]).unwrap();
+        // A stale Train forward must not survive the Eval one either.
+        pool.forward(&x, Mode::Train);
+        pool.forward(&x, Mode::Eval);
+        pool.backward(&Tensor::new(&[1, 1, 1, 1], vec![5.0]).unwrap());
     }
 
     #[test]

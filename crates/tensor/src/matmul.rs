@@ -9,20 +9,32 @@
 //!   blocked path's packing overhead is not worth it for the tiny matmuls
 //!   on the elastic executor's latency path (e.g. `1×256 · 256×10`).
 //! * **blocked** otherwise: a BLIS-style cache-blocked kernel. `B` is
-//!   packed once into `NR`-column panels and each `MR`-row strip of `A`
-//!   into an interleaved tile, then an `MR×NR` register micro-kernel
-//!   accumulates over the full `k` extent. Strips of `C` rows are
-//!   distributed over the worker pool (`parallel.rs`) above
-//!   `PAR_MIN_WORK`.
+//!   packed once into column panels and each strip of `A` rows into an
+//!   interleaved tile, then a register micro-kernel of up to `MR×NR`
+//!   accumulators — exactly as many rows as the strip has — runs over the
+//!   full `k` extent. Its `NR` vector lanes normally run along `C`'s
+//!   columns; a `C` narrower than one lane panel is computed with the
+//!   operands' roles swapped, lanes along its rows, when that pads less
+//!   ([`panel_width`]). Strips of `C` rows are distributed over the worker
+//!   pool (`parallel.rs`) above `PAR_MIN_WORK`.
+//!
+//! [`Conv2d`](crate::Conv2d) writes its lowered input straight into the
+//! packed layout ([`PackedB`]) and enters the blocked tier below the packing
+//! step ([`mm_packed_into`]), whatever the product's size.
 //!
 //! Determinism: each output element is one accumulation chain in `p = 0..k`
-//! order, in both tiers, with a single accumulator per element (the
-//! micro-kernel's `MR·NR` accumulators belong to `MR·NR` *different*
-//! elements). The
-//! work grid depends only on the problem shape, so results are bit-identical
-//! across thread counts. Zero inputs are **not** skipped: `0.0 * x` must
-//! stay IEEE-faithful (`0 * inf = NaN`), and a data-dependent branch in the
-//! inner loop would block vectorisation anyway.
+//! order — a multiply, then an add into the element's single accumulator —
+//! in both tiers (the micro-kernel's `MR·NR` accumulators belong to `MR·NR`
+//! *different* elements). An element's bits therefore depend on its row of
+//! `A` and its column of `B` alone: not on the tier, the tile it fell into,
+//! the lane axis, the worker count (the work grid depends only on the
+//! problem shape), or which other columns share the product — which is why
+//! stacking a batch's columns into one GEMM cannot change any sample's
+//! result. Zero inputs are **not** skipped: `0.0 * x` must stay
+//! IEEE-faithful (`0 * inf = NaN`), and a data-dependent branch in the inner
+//! loop would block vectorisation anyway.
+
+use std::ops::Range;
 
 use crate::parallel::{for_each_chunk_with, num_threads, PAR_MIN_WORK};
 
@@ -177,40 +189,24 @@ fn gemm(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], m: usize, k: usize, n: usiz
         c.fill(0.0);
         return;
     }
-    let macs = m * k * n;
-    if macs < BLOCKED_MIN_MACS {
+    if m * k * n < BLOCKED_MIN_MACS {
         gemm_small(a, b, c, m, k, n);
         return;
     }
-    let threads = if macs >= PAR_MIN_WORK {
-        num_threads()
+    if panel_width(m, n) == NR {
+        blocked_tiles::<MR, NR>(a, &pack_b::<NR>(b, k, n), c, m, k, n);
     } else {
-        1
-    };
-    let bpack = pack_b(b, k, n);
-    let n_panels = n.div_ceil(NR);
-    // Each MR-row strip of C is one chunk; the strip grid depends only on
-    // (m, n), never on `threads`.
-    for_each_chunk_with(
-        c,
-        MR * n,
-        threads,
-        || vec![0.0_f32; MR * k],
-        |strip, c_strip, apack| {
-            let i0 = strip * MR;
-            let rows = (m - i0).min(MR);
-            pack_a_strip(a, i0, rows, k, apack);
-            for jp in 0..n_panels {
-                let j0 = jp * NR;
-                let cols = (n - j0).min(NR);
-                let bpanel = &bpack[jp * k * NR..(jp + 1) * k * NR];
-                let acc = micro_kernel(apack, bpanel, k);
-                for (r, c_row) in c_strip.chunks_mut(n).enumerate().take(rows) {
-                    c_row[j0..j0 + cols].copy_from_slice(&acc[r][..cols]);
-                }
-            }
-        },
-    );
+        blocked_tiles::<NR, MR>(a, &pack_b::<MR>(b, k, n), c, m, k, n);
+    }
+}
+
+/// Packs `B[k,n]` into `⌈n/W⌉` contiguous panels of `W` columns.
+fn pack_b<const W: usize>(b: MatRef<'_>, k: usize, n: usize) -> Vec<f32> {
+    let mut bpack = vec![0.0_f32; n.div_ceil(W) * k * W];
+    for (jp, panel) in bpack.chunks_exact_mut(k * W).enumerate() {
+        pack_panel::<W>(b, jp * W, (n - jp * W).min(W), panel);
+    }
+    bpack
 }
 
 /// The simple tier: plain loop nests picked by `B`'s layout so the
@@ -244,75 +240,271 @@ fn gemm_small(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], m: usize, k: usize, n
     }
 }
 
-/// Packs `B[k,n]` into `⌈n/NR⌉` contiguous panels. Panel `jp` holds columns
-/// `jp*NR ..`, laid out `p`-major with `NR` interleaved columns per step
-/// (zero-padded past `n`), so the micro-kernel reads it as one forward
-/// stream.
-fn pack_b(b: MatRef<'_>, k: usize, n: usize) -> Vec<f32> {
-    let panels = n.div_ceil(NR);
-    let mut out = vec![0.0_f32; panels * k * NR];
-    for jp in 0..panels {
-        let j0 = jp * NR;
-        let cols = (n - j0).min(NR);
-        let dst = &mut out[jp * k * NR..(jp + 1) * k * NR];
-        if b.cs == 1 {
-            for p in 0..k {
-                let src = &b.data[p * b.rs + j0..p * b.rs + j0 + cols];
-                dst[p * NR..p * NR + cols].copy_from_slice(src);
+/// The panel width the blocked tier packs the right operand of an
+/// `m×k · k×n` product with: `NR` when the vector lanes run along `C`'s
+/// columns, `MR` when they run along its rows.
+///
+/// Lanes along the columns is the default. With fewer than `NR` columns most
+/// of every lane panel is padding, so when padding `m` up to whole lane
+/// panels wastes less than padding `n` does, the operands swap roles: `B`
+/// is packed as the strip operand and `Aᵀ` as the lane operand. The choice
+/// depends only on the shape and cannot change a result bit (module docs).
+pub(crate) fn panel_width(m: usize, n: usize) -> usize {
+    if n < NR && n * m.next_multiple_of(NR) < m * NR {
+        MR
+    } else {
+        NR
+    }
+}
+
+/// A `[k, n]` right operand held in the blocked tier's packed layout, for
+/// callers that can produce it directly instead of building a row-major
+/// matrix for [`mm_into`] to pack. The layout stays private to this module:
+/// callers address the logical matrix through a [`PanelCursor`] and move
+/// whole row segments with [`PackedB::write_row`] / [`PackedB::read_row`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PackedB {
+    data: Vec<f32>,
+    k: usize,
+    n: usize,
+    width: usize,
+}
+
+/// A position `(row, column)` of the logical matrix in a [`PackedB`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PanelCursor {
+    idx: usize,
+    /// Columns left in the current panel.
+    room: usize,
+    width: usize,
+    /// Buffer distance between one panel and the next, `k * width`.
+    panel_len: usize,
+}
+
+impl PanelCursor {
+    /// The cursor `rows` rows further down, same column.
+    pub(crate) fn below(self, rows: usize) -> Self {
+        PanelCursor {
+            idx: self.idx + rows * self.width,
+            ..self
+        }
+    }
+
+    /// Advances along the row by the longest run of at most `want` columns
+    /// that is contiguous in the buffer, and returns the run's range.
+    #[inline]
+    fn take(&mut self, want: usize) -> Range<usize> {
+        let len = want.min(self.room);
+        let run = self.idx..self.idx + len;
+        self.idx += len;
+        self.room -= len;
+        if self.room == 0 {
+            // Same row, first lane of the next panel.
+            self.idx += self.panel_len - self.width;
+            self.room = self.width;
+        }
+        run
+    }
+}
+
+impl PackedB {
+    /// Re-shapes the operand for an `m×k · k×n` product, reusing the
+    /// allocation. Padding lanes are zeroed; every real element keeps
+    /// whatever an earlier product left there and must be overwritten.
+    pub(crate) fn reshape(&mut self, m: usize, k: usize, n: usize) {
+        let width = panel_width(m, n);
+        (self.k, self.n, self.width) = (k, n, width);
+        self.data.resize(n.div_ceil(width) * k * width, 0.0);
+        let used = n % width;
+        if used > 0 {
+            let last = self.data.len() - k * width;
+            for row in self.data[last..].chunks_exact_mut(width) {
+                row[used..].fill(0.0);
             }
-        } else {
-            for col in 0..cols {
-                let src = &b.data[(j0 + col) * b.cs..(j0 + col) * b.cs + k];
-                for (p, &v) in src.iter().enumerate() {
-                    dst[p * NR + col] = v;
+        }
+    }
+
+    /// A cursor at row `p`, column `col`.
+    pub(crate) fn cursor(&self, p: usize, col: usize) -> PanelCursor {
+        let (panel, lane) = (col / self.width, col % self.width);
+        PanelCursor {
+            idx: (panel * self.k + p) * self.width + lane,
+            room: self.width - lane,
+            width: self.width,
+            panel_len: self.k * self.width,
+        }
+    }
+
+    /// Writes `src` into the row at `cur`, from the cursor's column on.
+    #[inline]
+    pub(crate) fn write_row(&mut self, mut cur: PanelCursor, mut src: &[f32]) {
+        while !src.is_empty() {
+            let dst = &mut self.data[cur.take(src.len())];
+            let (head, rest) = src.split_at(dst.len());
+            dst.copy_from_slice(head);
+            src = rest;
+        }
+    }
+
+    /// Fills `dst` from the row at `cur`, from the cursor's column on.
+    #[inline]
+    pub(crate) fn read_row(&self, mut cur: PanelCursor, mut dst: &mut [f32]) {
+        while !dst.is_empty() {
+            let src = &self.data[cur.take(dst.len())];
+            let (head, rest) = dst.split_at_mut(src.len());
+            head.copy_from_slice(src);
+            dst = rest;
+        }
+    }
+}
+
+/// `C[m,n] = A[m,k] * B[k,n]` with `B` already packed for this `m`
+/// ([`PackedB::reshape`]). Enters the blocked tier whatever the size: the
+/// operand is packed already, which is the cost the small tier exists to
+/// avoid.
+///
+/// # Panics
+///
+/// Panics if slice lengths do not match the dimensions, or `b` was shaped
+/// for an `m` that packs differently.
+pub(crate) fn mm_packed_into(a: &[f32], b: &PackedB, c: &mut [f32], m: usize) {
+    assert_eq!(a.len(), m * b.k, "mm_packed: lhs size mismatch");
+    assert_eq!(c.len(), m * b.n, "mm_packed: out size mismatch");
+    assert_eq!(
+        b.width,
+        panel_width(m, b.n),
+        "mm_packed: rhs packed for another m"
+    );
+    if m == 0 || b.n == 0 {
+        return;
+    }
+    let a = MatRef {
+        data: a,
+        rs: b.k,
+        cs: 1,
+    };
+    if b.width == NR {
+        blocked_tiles::<MR, NR>(a, &b.data, c, m, b.k, b.n);
+    } else {
+        blocked_tiles::<NR, MR>(a, &b.data, c, m, b.k, b.n);
+    }
+}
+
+/// The blocked tier below the packing of `B`, for one assignment of roles:
+/// `Aᵀ` is packed `WA` wide, one panel per `WA`-row strip of `C`, against
+/// `bpack`, the `[k, n]` right operand in panels of `WB` columns.
+/// `(MR, NR)` runs the lanes along `C`'s columns, `(NR, MR)` along its rows.
+fn blocked_tiles<const WA: usize, const WB: usize>(
+    a: MatRef<'_>,
+    bpack: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let at = MatRef {
+        data: a.data,
+        rs: a.cs,
+        cs: a.rs,
+    };
+    let threads = if m * k * n >= PAR_MIN_WORK {
+        num_threads()
+    } else {
+        1
+    };
+    // Each `WA`-row strip of C is one chunk; the strip grid depends only on
+    // the shape, never on `threads`.
+    for_each_chunk_with(
+        c,
+        WA * n,
+        threads,
+        || vec![0.0_f32; WA * k],
+        |strip, c_strip, apack| {
+            let i0 = strip * WA;
+            let rows = (m - i0).min(WA);
+            pack_panel::<WA>(at, i0, rows, apack);
+            for (jp, bpanel) in bpack.chunks_exact(k * WB).enumerate() {
+                let j0 = jp * WB;
+                let cols = (n - j0).min(WB);
+                if WB == NR {
+                    let acc = micro_kernel(apack, bpanel, rows);
+                    for (c_row, acc_row) in c_strip.chunks_mut(n).zip(&acc) {
+                        c_row[j0..j0 + cols].copy_from_slice(&acc_row[..cols]);
+                    }
+                } else {
+                    // The tile comes out transposed: `acc[col][row]`.
+                    let acc = micro_kernel(bpanel, apack, cols);
+                    for (r, c_row) in c_strip.chunks_mut(n).enumerate() {
+                        for (cv, acc_row) in c_row[j0..j0 + cols].iter_mut().zip(&acc) {
+                            *cv = acc_row[r];
+                        }
+                    }
                 }
             }
-        }
-    }
-    out
+        },
+    );
 }
 
-/// Packs rows `i0 .. i0+rows` of `A[m,k]` into `apack`, `p`-major with `MR`
-/// interleaved rows per step, zero-padding rows past `rows`.
-fn pack_a_strip(a: MatRef<'_>, i0: usize, rows: usize, k: usize, apack: &mut [f32]) {
-    if rows < MR {
-        apack.fill(0.0);
+/// Packs columns `j0 .. j0+cols` of a logical `[k, _]` matrix into one
+/// panel: `p`-major with `W` interleaved columns per step, so the
+/// micro-kernel reads it as one forward stream. Columns past `cols` are
+/// zeroed. `src` must have unit stride along one axis.
+fn pack_panel<const W: usize>(src: MatRef<'_>, j0: usize, cols: usize, panel: &mut [f32]) {
+    if cols < W {
+        panel.fill(0.0);
     }
-    for r in 0..rows {
-        let row = i0 + r;
-        if a.cs == 1 {
-            let src = &a.data[row * a.rs..row * a.rs + k];
-            for (p, &v) in src.iter().enumerate() {
-                apack[p * MR + r] = v;
-            }
-        } else {
-            // Aᵀ case: the logical row is a contiguous column of the buffer.
-            let src = &a.data[row * a.rs..];
-            for p in 0..k {
-                apack[p * MR + r] = src[p * a.cs];
+    if src.cs == 1 {
+        for (p, dst) in panel.chunks_exact_mut(W).enumerate() {
+            dst[..cols].copy_from_slice(&src.data[p * src.rs + j0..p * src.rs + j0 + cols]);
+        }
+    } else {
+        // The logical column is a contiguous run of the buffer.
+        let k = panel.len() / W;
+        for col in 0..cols {
+            let run = &src.data[(j0 + col) * src.cs..(j0 + col) * src.cs + k];
+            for (dst, &v) in panel.chunks_exact_mut(W).zip(run) {
+                dst[col] = v;
             }
         }
     }
 }
 
-/// The register tile: `MR×NR` independent accumulator chains over the full
-/// `k` extent. `MR`/`NR` are compile-time constants and `chunks_exact`
+/// The register tile: `R×NR` independent accumulator chains over the full
+/// `k` extent, `R` rows of an `MR`-wide `strip` panel against an `NR`-wide
+/// `lanes` panel. `R`/`NR` are compile-time constants and `chunks_exact`
 /// erases all bounds checks, so the two inner loops fully unroll into
-/// `MR·NR` independent FMA chains the compiler can vectorise (`6×16` =
+/// `R·NR` independent FMA chains the compiler can vectorise (`6×16` =
 /// twelve 8-wide AVX2 accumulators, the classic Haswell tile) — without
 /// ever splitting a single element's chain (which would change rounding).
 #[inline(always)]
-fn micro_kernel(apack: &[f32], bpanel: &[f32], k: usize) -> [[f32; NR]; MR] {
-    let mut acc = [[0.0_f32; NR]; MR];
-    for (av, bv) in apack.chunks_exact(MR).zip(bpanel.chunks_exact(NR)).take(k) {
+fn tile<const R: usize>(strip: &[f32], lanes: &[f32], out: &mut [[f32; NR]; MR]) {
+    let mut acc = [[0.0_f32; NR]; R];
+    for (sv, lv) in strip.chunks_exact(MR).zip(lanes.chunks_exact(NR)) {
         for (r, row) in acc.iter_mut().enumerate() {
-            let ar = av[r];
-            for (x, &bvc) in row.iter_mut().zip(bv) {
-                *x += ar * bvc;
+            let s = sv[r];
+            for (x, &l) in row.iter_mut().zip(lv) {
+                *x += s * l;
             }
         }
     }
-    acc
+    out[..R].copy_from_slice(&acc);
+}
+
+/// [`tile`] over exactly the `rows` a strip holds (`1..=MR`), so an edge
+/// strip — or an `m = 3` product — pays for no padding rows. Rows of the
+/// result past `rows` are unspecified.
+#[inline]
+fn micro_kernel(strip: &[f32], lanes: &[f32], rows: usize) -> [[f32; NR]; MR] {
+    let mut out = [[0.0_f32; NR]; MR];
+    match rows {
+        1 => tile::<1>(strip, lanes, &mut out),
+        2 => tile::<2>(strip, lanes, &mut out),
+        3 => tile::<3>(strip, lanes, &mut out),
+        4 => tile::<4>(strip, lanes, &mut out),
+        5 => tile::<5>(strip, lanes, &mut out),
+        _ => tile::<MR>(strip, lanes, &mut out),
+    }
+    out
 }
 
 #[cfg(test)]

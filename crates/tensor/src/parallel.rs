@@ -19,7 +19,7 @@
 //!
 //! Nested regions never oversubscribe: workers mark themselves with a
 //! thread-local flag, and any parallel region entered from inside the pool
-//! runs serially (e.g. a batch-parallel conv forward calling the threaded
+//! runs serially (e.g. a plane-parallel layer whose job calls the threaded
 //! GEMM).
 
 use std::cell::Cell;
@@ -78,8 +78,8 @@ fn with_pool_flag<R>(f: impl FnOnce() -> R) -> R {
 ///
 /// Each worker builds its own `state` with `init` once and reuses it across
 /// all its chunks — kernels use this for scratch buffers (packed GEMM
-/// panels, im2col columns) so scratch is allocated once per worker per
-/// region, not once per item.
+/// panels) so scratch is allocated once per worker per region, not once
+/// per item.
 ///
 /// `max_threads` is the worker cap for this region; kernels pass
 /// [`num_threads`] (or `1` below their size threshold) so the pool width

@@ -61,8 +61,12 @@ impl Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let mut layers = self.layers.iter_mut();
+        let Some(first) = layers.next() else {
+            return input.clone();
+        };
+        let mut x = first.forward(input, mode);
+        for layer in layers {
             x = layer.forward(&x, mode);
         }
         x
@@ -141,6 +145,17 @@ mod tests {
         let y = net.forward(&x, Mode::Train);
         let g = net.backward(&Tensor::filled(y.shape(), 1.0));
         assert_eq!(g.shape(), x.shape());
+    }
+
+    #[test]
+    #[should_panic(expected = "linear backward without forward")]
+    fn backward_after_an_eval_forward_panics() {
+        // The container keeps nothing of its own; its layers refuse.
+        let mut net = small_net();
+        let x = Tensor::filled(&[1, 4], 0.5);
+        net.forward(&x, Mode::Train);
+        let y = net.forward(&x, Mode::Eval);
+        net.backward(&Tensor::filled(y.shape(), 1.0));
     }
 
     #[test]

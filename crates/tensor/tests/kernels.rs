@@ -4,10 +4,14 @@
 //!    across random shapes, including non-multiple-of-tile and degenerate
 //!    ones (`m = 1`, `k = 1`);
 //! 2. results are **bit-identical** across worker counts, for the raw
-//!    kernels and for the batch-threaded layer forwards built on them.
+//!    kernels and for the batch-threaded layer forwards built on them;
+//! 3. the batch-wide convolution is invisible: a stacked forward equals the
+//!    per-sample forwards, and a `Train` forward + backward leaves the
+//!    gradients a per-sample im2col reference produces, all bit for bit.
 
 use einet_tensor::{
-    mm, mm_a_bt, mm_at_b, set_num_threads, BatchNorm2d, Conv2d, Layer, MaxPool2d, Mode, Tensor,
+    mm, mm_a_bt, mm_at_b, set_num_threads, BatchNorm2d, Conv2d, Layer, MaxPool2d, Mode, Param,
+    Tensor,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -180,4 +184,189 @@ fn degenerate_extents_stay_finite_and_exact() {
     let a = random_data(40 * 30, 7);
     let b = random_data(30, 8);
     assert_close(&mm(&a, &b, 40, 30, 1), &mm_ref(&a, &b, 40, 30, 1), "mm n=1");
+}
+
+/// The per-sample convolution this crate used before lowering went
+/// batch-wide, kept as the reference the batched layer must reproduce bit
+/// for bit: one im2col and one product per sample in the forward pass; in
+/// the backward pass `dW`, `db` and the input gradient accumulated sample by
+/// sample, in batch order. Products are naive `p = 0..k` chains ([`mm_ref`]),
+/// which is also what pins the kernels' determinism contract.
+struct PerSampleConv {
+    weight: Vec<f32>, // [out_c, in_c*k*k]
+    bias: Vec<f32>,
+    in_c: usize,
+    out_c: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+}
+
+/// What a forward + backward pass leaves behind.
+struct ConvPass {
+    out: Vec<f32>,
+    dw: Vec<f32>,
+    db: Vec<f32>,
+    dx: Vec<f32>,
+}
+
+impl PerSampleConv {
+    fn out_dim(&self, d: usize) -> usize {
+        (d + 2 * self.pad - self.k) / self.stride + 1
+    }
+
+    /// Input offset (within one plane) read by tap `(ki, kj)` at output
+    /// `(oi, oj)`, or `None` in the padding.
+    fn tap(
+        &self,
+        h: usize,
+        w: usize,
+        (ki, kj): (usize, usize),
+        (oi, oj): (usize, usize),
+    ) -> Option<usize> {
+        let ih = (oi * self.stride + ki).checked_sub(self.pad)?;
+        let iw = (oj * self.stride + kj).checked_sub(self.pad)?;
+        (ih < h && iw < w).then_some(ih * w + iw)
+    }
+
+    /// `[in_c*k*k, oh*ow]` columns of one `[in_c, h, w]` sample.
+    fn im2col(&self, x: &[f32], h: usize, w: usize) -> Vec<f32> {
+        let (oh, ow) = (self.out_dim(h), self.out_dim(w));
+        let mut cols = vec![0.0_f32; self.in_c * self.k * self.k * oh * ow];
+        for (row, col_row) in cols.chunks_mut(oh * ow).enumerate() {
+            let (ci, ki, kj) = (row / (self.k * self.k), row / self.k % self.k, row % self.k);
+            for (pos, v) in col_row.iter_mut().enumerate() {
+                if let Some(src) = self.tap(h, w, (ki, kj), (pos / ow, pos % ow)) {
+                    *v = x[ci * h * w + src];
+                }
+            }
+        }
+        cols
+    }
+
+    fn forward_backward(&self, x: &[f32], n: usize, h: usize, w: usize, grad: &[f32]) -> ConvPass {
+        let (oh, ow) = (self.out_dim(h), self.out_dim(w));
+        let (ohw, kk) = (oh * ow, self.in_c * self.k * self.k);
+        let (per_in, per_out) = (self.in_c * h * w, self.out_c * ohw);
+        let mut pass = ConvPass {
+            out: Vec::new(),
+            dw: vec![0.0; self.out_c * kk],
+            db: vec![0.0; self.out_c],
+            dx: vec![0.0; n * per_in],
+        };
+        for i in 0..n {
+            let cols = self.im2col(&x[i * per_in..(i + 1) * per_in], h, w);
+            let mut y = mm_ref(&self.weight, &cols, self.out_c, kk, ohw);
+            for (row, &b) in y.chunks_mut(ohw).zip(&self.bias) {
+                row.iter_mut().for_each(|v| *v += b);
+            }
+            pass.out.extend_from_slice(&y);
+            let gi = &grad[i * per_out..(i + 1) * per_out];
+            // dW += dY · colsᵀ
+            let dw = mm_ref(gi, &transpose(&cols, kk, ohw), self.out_c, ohw, kk);
+            pass.dw.iter_mut().zip(&dw).for_each(|(a, &d)| *a += d);
+            // db += row sums of dY
+            for (d, row) in pass.db.iter_mut().zip(gi.chunks(ohw)) {
+                let mut s = 0.0_f32;
+                row.iter().for_each(|&v| s += v);
+                *d += s;
+            }
+            // dCols = Wᵀ · dY, scattered back through the taps (col2im).
+            let dcols = mm_ref(
+                &transpose(&self.weight, self.out_c, kk),
+                gi,
+                kk,
+                self.out_c,
+                ohw,
+            );
+            let dx = &mut pass.dx[i * per_in..(i + 1) * per_in];
+            for (row, col_row) in dcols.chunks(ohw).enumerate() {
+                let (ci, ki, kj) = (row / (self.k * self.k), row / self.k % self.k, row % self.k);
+                for (pos, &v) in col_row.iter().enumerate() {
+                    if let Some(dst) = self.tap(h, w, (ki, kj), (pos / ow, pos % ow)) {
+                        dx[ci * h * w + dst] += v;
+                    }
+                }
+            }
+        }
+        pass
+    }
+}
+
+fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits(),
+            "{what}: element {i}: {g} vs {w}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(60))]
+
+    #[test]
+    fn batched_conv_matches_the_per_sample_reference(
+        ((in_c, out_c, k), (stride, pad), (h, w, n), seed) in (
+            (1_usize..=5, 1_usize..=40, prop_oneof![Just(1_usize), Just(3_usize)]),
+            (1_usize..=2, 0_usize..=1),
+            (1_usize..=9, 1_usize..=9, 1_usize..=9),
+            0_u64..1 << 32,
+        )
+            .prop_filter("kernel fits the padded input", |((_, _, k), (_, pad), (h, w, _), _)| {
+                h + 2 * pad >= *k && w + 2 * pad >= *k
+            })
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut conv = Conv2d::new(in_c, out_c, k, stride, pad, &mut rng);
+        let mut params: Vec<Vec<f32>> = Vec::new();
+        conv.visit_params(&mut |p: &mut Param| {
+            if p.value.shape().len() == 1 {
+                // The bias starts at zero; make it count.
+                p.value = Tensor::from_vec(random_data(p.value.len(), seed ^ 0xB1A5));
+            }
+            params.push(p.value.as_slice().to_vec());
+        });
+        let reference = PerSampleConv {
+            weight: params[0].clone(),
+            bias: params[1].clone(),
+            in_c,
+            out_c,
+            k,
+            stride,
+            pad,
+        };
+        let x = Tensor::new(&[n, in_c, h, w], random_data(n * in_c * h * w, seed ^ 0x1234)).unwrap();
+        let out_len = n * out_c * reference.out_dim(h) * reference.out_dim(w);
+        let grad = random_data(out_len, seed ^ 0x9876);
+        let want = reference.forward_backward(x.as_slice(), n, h, w, &grad);
+
+        for threads in [1, 2, 4] {
+            set_num_threads(threads);
+            // Stacked forward == the per-sample forwards, in either mode.
+            let stacked = conv.forward(&x, Mode::Eval);
+            assert_same_bits(stacked.as_slice(), &want.out, "stacked forward vs reference");
+            for j in 0..n {
+                let solo = conv.forward(&x.batch_slice(j, j + 1), Mode::Eval);
+                let per = solo.len();
+                assert_same_bits(
+                    solo.as_slice(),
+                    &stacked.as_slice()[j * per..(j + 1) * per],
+                    "solo forward vs its slice of the stacked one",
+                );
+            }
+            // Train forward + backward == the reference's gradients.
+            conv.zero_grad();
+            let y = conv.forward(&x, Mode::Train);
+            assert_same_bits(y.as_slice(), &want.out, "train forward");
+            let dx = conv.backward(&Tensor::new(y.shape(), grad.clone()).unwrap());
+            assert_same_bits(dx.as_slice(), &want.dx, "input grad");
+            let mut grads: Vec<Vec<f32>> = Vec::new();
+            conv.visit_params(&mut |p: &mut Param| grads.push(p.grad.as_slice().to_vec()));
+            assert_same_bits(&grads[0], &want.dw, "weight grad");
+            assert_same_bits(&grads[1], &want.db, "bias grad");
+        }
+        set_num_threads(0);
+    }
 }
