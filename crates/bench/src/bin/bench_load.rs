@@ -28,13 +28,12 @@
 //!   analytic for the mean queue delay (default 0.25).
 //!
 //! After the arrival-process scenarios, a **connection-scaling sweep**
-//! compares the thread-per-connection front-end against the readiness
-//! reactor: at each level of open-but-idle connections (default
-//! 100 → 1000 → 5000) it records the process thread count, the VmRSS
-//! proxy, and the p50/p99 of a fixed closed-loop load driven over a
+//! loads the same reactor with open-but-idle connections: at each level
+//! (default 100 → 1000 → 5000) it records the process thread count, the
+//! VmRSS proxy, and the p50/p99 of a fixed closed-loop load driven over a
 //! handful of active connections. With `--gate` the sweep asserts the
 //! reactor holds the top level without adding a single thread and that
-//! its low-connection latency stays comparable to the baseline.
+//! its latency there stays comparable to the lowest level's.
 //!
 //! * `EINET_LOAD_SWEEP_CONNS` — comma list of idle-connection levels
 //!   (default `100,1000,5000`; the fd budget is 2 per connection since
@@ -54,7 +53,7 @@
 //! the load scenarios and the connection sweep after the traced phase.
 //!
 //! * `EINET_LOAD_TRACE_REQUESTS` / `EINET_LOAD_TRACE_CLIENTS` — traced
-//!   phase size (defaults 96 requests over 4 connections).
+//!   phase size (defaults 96 requests over 6 connections).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -65,7 +64,7 @@ use std::time::{Duration, Instant};
 use einet_core::ExitPlan;
 use einet_edge::{PoolConfig, StaticSource};
 use einet_models::{zoo, BranchSpec};
-use einet_server::{ModelRegistry, ModelSpec, ReactorConfig, ReactorServer, Server};
+use einet_server::{ModelRegistry, ModelSpec, ReactorConfig, ReactorServer};
 use einet_trace::json::{self, JsonWriter};
 use einet_trace::{context, next_trace_id, StreamConfig, TraceConfig, TraceStreamer};
 use rand::rngs::SmallRng;
@@ -313,7 +312,6 @@ fn fixed_load(addr: std::net::SocketAddr, total: usize, conns: usize) -> (f64, f
 
 /// One row of the connection-scaling sweep.
 struct SweepRow {
-    front_end: &'static str,
     idle_conns: usize,
     threads: u64,
     vm_rss_kb: u64,
@@ -323,42 +321,35 @@ struct SweepRow {
 }
 
 /// Opens `level` idle connections, waits until the front-end has actually
-/// registered them (via the `open_connections` gauge when available),
-/// measures resources, then drives the fixed load over separate active
-/// connections. The idle pool is dropped before returning.
+/// registered them (via the `open_connections` gauge), measures resources,
+/// then drives the fixed load over separate active connections. The idle
+/// pool is dropped before returning.
 fn sweep_level(
     addr: std::net::SocketAddr,
-    front_end: &'static str,
     level: usize,
     requests: usize,
-    open_gauge: Option<&dyn Fn() -> u64>,
+    open_gauge: &dyn Fn() -> u64,
 ) -> SweepRow {
     let mut idle = Vec::with_capacity(level);
     for _ in 0..level {
         idle.push(TcpStream::connect(addr).expect("idle connection"));
     }
-    if let Some(gauge) = open_gauge {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while gauge() < level as u64 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(
-            gauge() >= level as u64,
-            "front-end never registered all {level} idle connections"
-        );
-    } else {
-        // No gauge (legacy baseline): give the accept loop a beat.
-        std::thread::sleep(Duration::from_millis(200));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while open_gauge() < level as u64 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
     }
+    assert!(
+        open_gauge() >= level as u64,
+        "front-end never registered all {level} idle connections"
+    );
     let (threads, vm_rss_kb) = proc_threads_and_rss_kb();
     let (throughput_rps, p50_ms, p99_ms) = fixed_load(addr, requests, 2);
     println!(
-        "  sweep[{front_end}]: {level} idle conns | {threads} threads, {vm_rss_kb} kB RSS | \
+        "  sweep: {level} idle conns | {threads} threads, {vm_rss_kb} kB RSS | \
          {throughput_rps:.0} rps, p50 {p50_ms:.2} ms, p99 {p99_ms:.2} ms"
     );
     drop(idle);
     SweepRow {
-        front_end,
         idle_conns: level,
         threads,
         vm_rss_kb,
@@ -371,7 +362,7 @@ fn sweep_level(
 fn write_sweep_row(w: &mut JsonWriter, row: &SweepRow) {
     w.begin_object();
     w.key("front_end");
-    w.string(row.front_end);
+    w.string("reactor");
     w.key("idle_conns");
     w.number_u64(row.idle_conns as u64);
     w.key("threads");
@@ -463,7 +454,12 @@ fn run_distributed_trace(dir: &Path) {
         },
     );
     let registry = Arc::new(registry);
-    let server = Server::start(Arc::clone(&registry), "127.0.0.1:0").expect("bind loopback");
+    let server = ReactorServer::start(
+        Arc::clone(&registry),
+        "127.0.0.1:0",
+        ReactorConfig::default(),
+    )
+    .expect("bind loopback");
     let addr = server.local_addr();
 
     let mut handles = Vec::new();
@@ -646,6 +642,13 @@ fn main() {
     let burst_requests: usize = env_or("EINET_LOAD_BURST", 120);
     let ramp_requests: usize = env_or("EINET_LOAD_RAMP", 120);
     let tol: f64 = env_or("EINET_LOAD_TOL", 0.25);
+    let sweep_levels: Vec<usize> = std::env::var("EINET_LOAD_SWEEP_CONNS")
+        .unwrap_or_else(|_| "100,1000,5000".to_string())
+        .split(',')
+        .filter_map(|s| s.trim().parse().ok())
+        .filter(|&n| n > 0)
+        .collect();
+    let sweep_requests: usize = env_or("EINET_LOAD_SWEEP_REQUESTS", 120);
 
     // The M/D/1 tenant: one worker, no batching, service dominated by the
     // deterministic per-block throttle (3 blocks).
@@ -683,7 +686,17 @@ fn main() {
         },
     );
     let registry = Arc::new(registry);
-    let server = Server::start(Arc::clone(&registry), "127.0.0.1:0").expect("bind loopback");
+    // One listener for the scenarios and the sweep, so its connection cap
+    // has to clear the sweep's top level.
+    let server = ReactorServer::start(
+        Arc::clone(&registry),
+        "127.0.0.1:0",
+        ReactorConfig {
+            max_conns: sweep_levels.iter().copied().max().unwrap_or(5000) + 64,
+            ..ReactorConfig::default()
+        },
+    )
+    .expect("bind loopback");
     let addr = server.local_addr();
 
     // Nominal service rate from the throttle (3 blocks + compute slack);
@@ -693,8 +706,9 @@ fn main() {
     let lambda_target = rho / nominal_service.as_secs_f64();
 
     println!(
-        "bench_load: {clients} clients against {addr} | poisson {requests} reqs at \
-         ~{lambda_target:.0}/s (nominal rho {rho}), burst {burst_requests}, ramp {ramp_requests}"
+        "bench_load: {clients} clients against {addr} ({} backend) | poisson {requests} reqs at \
+         ~{lambda_target:.0}/s (nominal rho {rho}), burst {burst_requests}, ramp {ramp_requests}",
+        server.backend()
     );
 
     // Scenario 1 — Poisson onto the M/D/1 tenant.
@@ -812,37 +826,7 @@ fn main() {
     );
 
     // --- connection-scaling sweep -------------------------------------
-    let sweep_levels: Vec<usize> = std::env::var("EINET_LOAD_SWEEP_CONNS")
-        .unwrap_or_else(|_| "100,1000,5000".to_string())
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .collect();
-    let sweep_requests: usize = env_or("EINET_LOAD_SWEEP_REQUESTS", 120);
-
-    // Baseline: the thread-per-connection front-end at the lowest level
-    // (it spends a thread per idle connection, so the top levels are the
-    // reactor's to demonstrate).
-    let baseline_level = sweep_levels.first().copied().unwrap_or(100);
-    let baseline = sweep_level(addr, "threaded", baseline_level, sweep_requests, None);
-
-    server.shutdown();
-
-    let reactor = ReactorServer::start(
-        Arc::clone(&registry),
-        "127.0.0.1:0",
-        ReactorConfig {
-            max_conns: sweep_levels.iter().copied().max().unwrap_or(5000) + 64,
-            ..ReactorConfig::default()
-        },
-    )
-    .expect("bind reactor");
-    println!(
-        "bench_load: connection sweep on {} backend at {}",
-        reactor.backend(),
-        reactor.local_addr()
-    );
-    let ingest = reactor.metrics_handle();
+    let ingest = server.metrics_handle();
     let (threads_before_sweep, _) = proc_threads_and_rss_kb();
     let gauge = || ingest.snapshot().open_connections;
     let mut sweep_rows = Vec::new();
@@ -853,15 +837,9 @@ fn main() {
         while gauge() > 0 && Instant::now() < drained {
             std::thread::sleep(Duration::from_millis(5));
         }
-        sweep_rows.push(sweep_level(
-            reactor.local_addr(),
-            "reactor",
-            level,
-            sweep_requests,
-            Some(&gauge),
-        ));
+        sweep_rows.push(sweep_level(addr, level, sweep_requests, &gauge));
     }
-    reactor.shutdown();
+    server.shutdown();
 
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -894,8 +872,6 @@ fn main() {
     w.boolean(accounting_ok);
     w.key("conn_sweep");
     w.begin_object();
-    w.key("baseline");
-    write_sweep_row(&mut w, &baseline);
     w.key("reactor_threads_before_sweep");
     w.number_u64(threads_before_sweep);
     w.key("levels");
@@ -944,28 +920,30 @@ fn main() {
                 top.idle_conns
             );
         }
-        // Low-connection latency parity: the reactor's p99 at the lowest
-        // level must stay comparable to the thread-per-connection
-        // baseline (generous bound — the shared 1-core CI box is noisy,
-        // and the service time dominates both).
+        // Idle connections must not cost latency either: p99 at the top
+        // level stays comparable to the lowest level's (generous bound —
+        // the shared 1-core CI box is noisy, and the service time
+        // dominates both).
         let low = &sweep_rows[0];
-        let p99_limit = (baseline.p99_ms * 2.5).max(baseline.p99_ms + 20.0);
+        let p99_limit = (low.p99_ms * 2.5).max(low.p99_ms + 20.0);
         assert!(
-            low.p99_ms <= p99_limit,
-            "reactor p99 {:.2} ms at {} conns regressed past the threaded baseline \
-             {:.2} ms (limit {:.2} ms)",
+            top.p99_ms <= p99_limit,
+            "reactor p99 {:.2} ms holding {} conns regressed past {:.2} ms at {} conns \
+             (limit {:.2} ms)",
+            top.p99_ms,
+            top.idle_conns,
             low.p99_ms,
             low.idle_conns,
-            baseline.p99_ms,
             p99_limit
         );
         println!(
             "load gate passed: M/D/1 within {:.0}%, accounting exact, reactor held {} conns \
-             with no thread growth and p99 {:.2} ms (baseline {:.2} ms)",
+             with no thread growth and p99 {:.2} ms ({:.2} ms at {} conns)",
             tol * 100.0,
             top.idle_conns,
+            top.p99_ms,
             low.p99_ms,
-            baseline.p99_ms
+            low.idle_conns
         );
     }
 }

@@ -2,19 +2,18 @@
 //!
 //! Registers zoo models (untrained weights; serving infrastructure, not
 //! accuracy, is what this command exercises) behind a [`ModelRegistry`],
-//! binds the line-oriented JSON listener, and either serves until the
-//! process is interrupted or — with `--self-test N` — drives `N` requests
-//! through a real loopback client, prints the per-model serving report and
-//! exits, failing if any accounting check breaks.
-//!
-//! `--reactor` swaps the thread-per-connection ingest loop for the
-//! readiness-driven [`ReactorServer`] (one epoll/poll thread for every
-//! connection; clients may pipeline and multiplex by `id`). Under
-//! `--reactor`, the self-test adds a multiplexed-pipelining phase and a
-//! shutdown-under-load phase on top of the sequential sweep. `--autoscale`
-//! starts the [`ReplicaScaler`] control loop, growing and shrinking each
-//! model's replica set from the windowed SLO metrics.
+//! binds the line-oriented JSON listener — the readiness-driven
+//! [`ReactorServer`]: one epoll/poll thread for every connection, clients
+//! may pipeline and multiplex by `id` — and either serves until the process
+//! is interrupted or, with `--self-test N`, drives a real loopback client
+//! through three phases (`N` sequential requests, a multiplexed pipeline on
+//! one connection, a shutdown under load that must answer every in-flight
+//! id), prints the per-model serving report and exits, failing if any
+//! accounting check breaks. `--autoscale` starts the [`ReplicaScaler`]
+//! control loop, growing and shrinking each model's replica set from the
+//! windowed SLO metrics.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -24,7 +23,7 @@ use einet_core::ExitPlan;
 use einet_edge::{PoolConfig, ServeMetrics, StaticSource};
 use einet_models::BranchSpec;
 use einet_server::{
-    ModelRegistry, ModelSpec, ReactorConfig, ReactorServer, ReplicaScaler, ScalerConfig, Server,
+    ModelRegistry, ModelSpec, ReactorConfig, ReactorServer, ReplicaScaler, ScalerConfig,
 };
 use einet_trace::json::{self, JsonValue};
 
@@ -33,36 +32,6 @@ use crate::args::ParsedArgs;
 
 const SIDE: usize = 16;
 const CLASSES: usize = 10;
-
-/// Either ingest front-end behind one surface, so the serving logic and
-/// self-test phases don't care which one is running.
-enum FrontEnd {
-    Threaded(Server),
-    Reactor(ReactorServer),
-}
-
-impl FrontEnd {
-    fn local_addr(&self) -> SocketAddr {
-        match self {
-            FrontEnd::Threaded(s) => s.local_addr(),
-            FrontEnd::Reactor(s) => s.local_addr(),
-        }
-    }
-
-    fn metrics_handle(&self) -> Arc<ServeMetrics> {
-        match self {
-            FrontEnd::Threaded(s) => s.metrics_handle(),
-            FrontEnd::Reactor(s) => s.metrics_handle(),
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            FrontEnd::Threaded(s) => s.shutdown(),
-            FrontEnd::Reactor(s) => s.shutdown(),
-        }
-    }
-}
 
 /// Runs `einet serve`.
 pub fn run(args: &ParsedArgs) -> CmdResult {
@@ -73,7 +42,6 @@ pub fn run(args: &ParsedArgs) -> CmdResult {
     let max_batch: usize = args.get_parsed_or("max-batch", 4)?;
     let block_delay = Duration::from_millis(args.get_parsed_or("block-delay-ms", 0)?);
     let self_test: usize = args.get_parsed_or("self-test", 0)?;
-    let reactor = args.has_flag("reactor");
     let autoscale = args.has_flag("autoscale");
     let max_conns: usize = args.get_parsed_or("max-conns", 8192)?;
     let idle_timeout = Duration::from_millis(args.get_parsed_or("idle-timeout-ms", 0)?);
@@ -133,30 +101,25 @@ pub fn run(args: &ParsedArgs) -> CmdResult {
     } else {
         None
     };
-    let front = if reactor {
-        let server = ReactorServer::start(
-            Arc::clone(&registry),
-            &addr,
-            ReactorConfig {
-                max_conns,
-                idle_timeout,
-                ..ReactorConfig::default()
-            },
-        )?;
-        println!(
-            "reactor ingest: {} backend, max {} connections{}",
-            server.backend(),
+    let front = ReactorServer::start(
+        Arc::clone(&registry),
+        &addr,
+        ReactorConfig {
             max_conns,
-            if idle_timeout.is_zero() {
-                String::new()
-            } else {
-                format!(", idle timeout {} ms", idle_timeout.as_millis())
-            }
-        );
-        FrontEnd::Reactor(server)
-    } else {
-        FrontEnd::Threaded(Server::start(Arc::clone(&registry), &addr)?)
-    };
+            idle_timeout,
+            ..ReactorConfig::default()
+        },
+    )?;
+    println!(
+        "reactor ingest: {} backend, max {} connections{}",
+        front.backend(),
+        max_conns,
+        if idle_timeout.is_zero() {
+            String::new()
+        } else {
+            format!(", idle timeout {} ms", idle_timeout.as_millis())
+        }
+    );
     println!(
         "serving {} model(s) [{}] on {} — {} replica(s) × {} worker(s), queue {}, max-batch {}{}",
         names.len(),
@@ -176,17 +139,13 @@ pub fn run(args: &ParsedArgs) -> CmdResult {
     let ingest_metrics = front.metrics_handle();
     if self_test > 0 {
         self_test_loop(&registry, front.local_addr(), &names, self_test)?;
-        if reactor {
-            // The reactor's contract goes beyond one-in-one-out: pipelined
-            // multiplexing and a graceful drain under load.
-            self_test_multiplexed(front.local_addr(), &names, self_test.clamp(8, 64))?;
-            self_test_shutdown_under_load(front, &names, ingest_metrics.clone())?;
-        } else {
-            front.shutdown();
-        }
+        // The reactor's contract goes beyond one-in-one-out: pipelined
+        // multiplexing and a graceful drain under load.
+        self_test_multiplexed(front.local_addr(), &names, self_test.clamp(8, 64))?;
+        self_test_shutdown_under_load(front, &names, ingest_metrics.clone())?;
     } else {
         println!("send one JSON request per line (see DESIGN.md §10); ctrl-c to stop");
-        // Park this thread forever; the listener threads do the work. The
+        // Park this thread forever; the reactor thread does the work. The
         // process exits via the user's interrupt signal.
         loop {
             std::thread::sleep(Duration::from_secs(3600));
@@ -298,7 +257,7 @@ fn self_test_loop(
 fn read_and_check_ids(
     reader: &mut BufReader<TcpStream>,
     expect: usize,
-    pending: &mut std::collections::HashMap<u64, i64>,
+    pending: &mut HashMap<u64, i64>,
 ) -> CmdResult {
     let mut line = String::new();
     for _ in 0..expect {
@@ -319,17 +278,21 @@ fn read_and_check_ids(
     Ok(())
 }
 
-/// Multiplexing phase: pipelines `burst` requests down one connection
-/// without reading a single response, then collects them all — every id
-/// must come back exactly once, in whatever order completions arrived.
-fn self_test_multiplexed(addr: SocketAddr, names: &[String], burst: usize) -> CmdResult {
+/// Pipelines `burst` requests (ids `first_id..`) down one fresh connection
+/// without reading a single response. Returns the reader to collect them
+/// from and how many times each id is still owed.
+fn pipeline_burst(
+    addr: SocketAddr,
+    names: &[String],
+    first_id: u64,
+    burst: usize,
+) -> std::io::Result<(BufReader<TcpStream>, HashMap<u64, i64>)> {
     let stream = TcpStream::connect(addr)?;
     let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut pending = std::collections::HashMap::new();
+    let mut pending = HashMap::new();
     let mut lines = String::new();
     for i in 0..burst {
-        let id = 100_000 + i as u64;
+        let id = first_id + i as u64;
         let model = &names[i % names.len()];
         pending.insert(id, 1i64);
         lines.push_str(&format!(
@@ -339,6 +302,14 @@ fn self_test_multiplexed(addr: SocketAddr, names: &[String], burst: usize) -> Cm
     }
     writer.write_all(lines.as_bytes())?;
     writer.flush()?;
+    Ok((BufReader::new(stream), pending))
+}
+
+/// Multiplexing phase: a pipelined burst, then collect every response —
+/// every id must come back exactly once, in whatever order completions
+/// arrived.
+fn self_test_multiplexed(addr: SocketAddr, names: &[String], burst: usize) -> CmdResult {
+    let (mut reader, mut pending) = pipeline_burst(addr, names, 100_000, burst)?;
     read_and_check_ids(&mut reader, burst, &mut pending)?;
     if pending.values().any(|&owed| owed != 0) {
         return Err("multiplexed phase: some ids were never answered".into());
@@ -351,27 +322,12 @@ fn self_test_multiplexed(addr: SocketAddr, names: &[String], burst: usize) -> Cm
 /// mid-flight, and verifies the graceful drain still answers every id
 /// before closing — and that the ingest gauges land back at zero.
 fn self_test_shutdown_under_load(
-    front: FrontEnd,
+    front: ReactorServer,
     names: &[String],
     metrics: Arc<ServeMetrics>,
 ) -> CmdResult {
     let burst = 16usize;
-    let stream = TcpStream::connect(front.local_addr())?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut pending = std::collections::HashMap::new();
-    let mut lines = String::new();
-    for i in 0..burst {
-        let id = 200_000 + i as u64;
-        let model = &names[i % names.len()];
-        pending.insert(id, 1i64);
-        lines.push_str(&format!(
-            r#"{{"id": {id}, "model": "{model}", "input": {{"shape": [1, 1, {SIDE}, {SIDE}], "fill": 0.3}}}}"#
-        ));
-        lines.push('\n');
-    }
-    writer.write_all(lines.as_bytes())?;
-    writer.flush()?;
+    let (mut reader, mut pending) = pipeline_burst(front.local_addr(), names, 200_000, burst)?;
     // One response first proves the reactor swept the burst (a single
     // loopback write lands whole) — then pull the rug.
     read_and_check_ids(&mut reader, 1, &mut pending)?;
@@ -394,8 +350,8 @@ fn self_test_shutdown_under_load(
 
 /// Prints the per-model serving table and writes the optional artifacts:
 /// the merged-snapshot JSON (`--metrics-out`, with the ingest gauges
-/// folded in) and the labeled Prometheus exposition (`--prom-out`, with an
-/// ingest-scoped section appended).
+/// folded in) and the labeled Prometheus exposition (`--prom-out`, the
+/// ingest registry as one more block of every family).
 fn report(
     registry: &Arc<ModelRegistry>,
     names: &[String],
@@ -439,10 +395,9 @@ fn report(
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let mut text = registry.to_prom_text();
         // The connection/inflight gauges live on the ingest front-end, not
-        // on any model pool: append them under their own scope label.
-        ingest.write_prom_into(&mut text, &[("scope", "ingest")], false);
+        // on any model pool: they go out under their own scope label.
+        let text = registry.to_prom_text(&[(&[("scope", "ingest")], ingest)]);
         std::fs::write(path, text)?;
         println!("wrote Prometheus exposition to {}", path.display());
     }
@@ -458,18 +413,21 @@ mod tests {
     }
 
     #[test]
-    fn self_test_round_trip_with_artifacts() {
+    fn full_self_test_with_autoscale_and_artifacts() {
         let _guard = super::super::tracing_test_lock();
         let dir = std::env::temp_dir().join(format!("einet-serve-test-{}", std::process::id()));
         let trace = dir.join("trace.json");
         let metrics = dir.join("serve_metrics.json");
         let prom = dir.join("metrics.prom");
+        // Sequential sweep, multiplexed pipeline and drain under load all
+        // run; any phase failing its accounting makes the exit code 1.
         let code = crate::run(&v(&[
             "serve",
             "--models",
             "b-alexnet",
             "--workers",
             "1",
+            "--autoscale",
             "--self-test",
             "12",
             "--trace-out",
@@ -480,48 +438,20 @@ mod tests {
             prom.to_str().unwrap(),
         ]));
         assert_eq!(code, 0);
-        let metrics_raw = std::fs::read_to_string(&metrics).unwrap();
-        let m = einet_trace::json::parse(&metrics_raw).unwrap();
-        assert!(m.get("submitted").is_some());
-        let prom_raw = std::fs::read_to_string(&prom).unwrap();
-        assert!(prom_raw.contains("einet_tasks_submitted_total{model=\"b-alexnet\"}"));
-        assert!(prom_raw.contains("einet_route_shed_total"));
-        assert!(std::fs::read_to_string(&trace)
-            .unwrap()
-            .contains("traceEvents"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn reactor_self_test_with_autoscale_and_artifacts() {
-        let _guard = super::super::tracing_test_lock();
-        let dir = std::env::temp_dir().join(format!("einet-reactor-test-{}", std::process::id()));
-        let metrics = dir.join("serve_metrics.json");
-        let prom = dir.join("metrics.prom");
-        let code = crate::run(&v(&[
-            "serve",
-            "--models",
-            "b-alexnet",
-            "--workers",
-            "1",
-            "--reactor",
-            "--autoscale",
-            "--self-test",
-            "12",
-            "--metrics-out",
-            metrics.to_str().unwrap(),
-            "--prom-out",
-            prom.to_str().unwrap(),
-        ]));
-        assert_eq!(code, 0);
         let m = einet_trace::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        assert!(m.get("submitted").is_some());
         // The drained front-end leaves both ingest gauges at zero in the
         // merged artifact — present, not merely defaulted.
         assert_eq!(m.get("open_connections").unwrap().as_u64(), Some(0));
         assert_eq!(m.get("inflight_requests").unwrap().as_u64(), Some(0));
         let prom_raw = std::fs::read_to_string(&prom).unwrap();
+        assert!(prom_raw.contains("einet_tasks_submitted_total{model=\"b-alexnet\"}"));
         assert!(prom_raw.contains("einet_server_open_connections{scope=\"ingest\"} 0"));
+        assert!(prom_raw.contains("einet_route_shed_total"));
         assert!(prom_raw.contains("einet_replicas{model=\"b-alexnet\"}"));
+        assert!(std::fs::read_to_string(&trace)
+            .unwrap()
+            .contains("traceEvents"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

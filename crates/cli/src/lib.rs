@@ -11,7 +11,7 @@
 //! einet demo    [--preemptions 6] [--stream-out DIR]
 //! einet report  --dir DIR [--chrome-out FILE]
 //! einet serve   [--models b-alexnet,flex-vgg16] [--addr HOST:PORT]
-//!               [--reactor] [--autoscale] [--self-test N]
+//!               [--autoscale] [--self-test N]
 //!               [--metrics-out FILE] [--prom-out FILE]
 //! einet experiments <fig8|table2|...|all> [--quick|--full]
 //! ```
@@ -37,8 +37,11 @@ pub fn run(raw_args: &[String]) -> i32 {
             "full",
             "help",
             "serve-stats",
-            "reactor",
             "autoscale",
+            // Accepted and ignored: the reactor is the only listener. Not
+            // listed, `--reactor` would parse as an option and swallow the
+            // argument after it.
+            "reactor",
         ],
     ) {
         Ok(p) => p,
@@ -121,22 +124,21 @@ COMMANDS:
                    [--models b-alexnet,flex-vgg16] [--addr HOST:PORT]
                    [--replicas N] [--workers N] [--queue-capacity N]
                    [--max-batch N] [--block-delay-ms N]
-                   [--reactor] [--max-conns N] [--idle-timeout-ms N]
+                   [--max-conns N] [--idle-timeout-ms N]
                    [--autoscale] [--max-replicas N]
                    [--self-test N] [--metrics-out FILE] [--prom-out FILE]
                    registers each model behind its own replicated executor
                    pool; queue-full and expired-in-queue backpressure comes
-                   back as explicit 429-style JSON responses
-                   --reactor serves every connection from one epoll/poll
-                   readiness thread instead of a thread per connection;
-                   clients may pipeline requests and multiplex by id
-                   (responses return in completion order)
+                   back as explicit 429-style JSON responses; every
+                   connection is served from one epoll/poll readiness
+                   thread, and clients may pipeline requests and multiplex
+                   by id (responses return in completion order)
                    --autoscale grows/shrinks each model's replicas from the
                    windowed SLO metrics (up to --max-replicas, default 4)
                    --self-test drives N loopback requests, verifies the
-                   shed accounting reconciles end to end, then exits; under
-                   --reactor it also runs a multiplexed-pipelining phase
-                   and a shutdown-under-load drain phase
+                   shed accounting reconciles end to end, runs a
+                   multiplexed-pipelining phase and a shutdown-under-load
+                   drain phase, then exits
                    --prom-out writes the per-model labeled Prometheus text
     report       summarise a --stream-out directory after (or during) a run
                    --dir DIR [--chrome-out FILE]

@@ -71,9 +71,9 @@ mod source;
 pub use executor::{ElasticExecutor, InferenceRequest, SubmitError, TaskOutcome, TaskStatus};
 pub use gate::{PreemptionGate, StopCause, TaskGuard};
 pub use metrics::{
-    BatchHistogram, BatchSnapshot, HistogramSnapshot, LatencyHistogram, MetricsReporter,
-    MetricsSnapshot, RollingWindow, ServeMetrics, WindowSample, WindowSnapshot, BATCH_BUCKETS,
-    DEFAULT_WINDOW_BUCKET_MS, LATENCY_BUCKETS_US, NUM_WINDOW_SHARDS,
+    prom_text, BatchHistogram, BatchSnapshot, HistogramSnapshot, LatencyHistogram, MetricsReporter,
+    MetricsSnapshot, PromBlock, RollingWindow, ServeMetrics, WindowSample, WindowSnapshot,
+    BATCH_BUCKETS, DEFAULT_WINDOW_BUCKET_MS, LATENCY_BUCKETS_US, NUM_WINDOW_SHARDS,
 };
 pub use pool::{CompletionFn, ExecutorPool, PoolConfig, TaskError, TaskResult};
 pub use preemptor::Preemptor;

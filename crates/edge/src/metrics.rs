@@ -6,6 +6,13 @@
 //! which is exactly when reconciliation matters — see
 //! [`MetricsSnapshot::reconciles`].
 //!
+//! Every scalar the registry keeps is declared once, as a row of the
+//! `serve_scalars!` table below: the row names the field and says how it is
+//! exposed to Prometheus, how it merges and whether old JSON artifacts may
+//! lack it. The atomic cell, the [`MetricsSnapshot`] field, the JSON codec,
+//! [`MetricsSnapshot::merge`] and the exposition are all driven from that
+//! row, so adding a counter is one row plus the recorder that increments it.
+//!
 //! Besides the cumulative counters the registry keeps a [`RollingWindow`]:
 //! sharded time-bucketed statistics over the last ~2 s of finished tasks,
 //! answering the questions a dashboard asks about *now* — windowed p50/p99
@@ -14,6 +21,7 @@
 //! renders everything in Prometheus exposition format; a
 //! [`MetricsReporter`] writes it to disk on a fixed cadence.
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,6 +45,132 @@ pub const BATCH_BUCKETS: [u64; 6] = [1, 2, 4, 8, 16, 32];
 
 const NUM_BATCH_BUCKETS: usize = BATCH_BUCKETS.len() + 1;
 
+/// The bucket `value` falls in on a grid of inclusive upper `bounds`; one
+/// past the last bound is the unbounded overflow bucket.
+fn bucket_index(bounds: &[u64], value: u64) -> usize {
+    bounds
+        .iter()
+        .position(|&bound| value <= bound)
+        .unwrap_or(bounds.len())
+}
+
+fn load_all<const N: usize>(cells: &[AtomicU64; N]) -> [u64; N] {
+    std::array::from_fn(|i| cells[i].load(Ordering::Relaxed))
+}
+
+/// What the three histogram kinds share once snapshotted — cumulative
+/// latency, batch occupancy, and the rolling window's service latency (a
+/// [`HistogramSnapshot`] too): bucket counts on a fixed grid, a count and a
+/// sum. The JSON reader, the merger and the Prometheus writer exist once,
+/// against this.
+trait Bucketed: Default {
+    /// Inclusive upper bounds of every bucket but the last, unbounded one.
+    const BOUNDS: &'static [u64];
+    /// JSON keys of the sum and of the bounds array.
+    const SUM_KEY: &'static str;
+    const BOUNDS_KEY: &'static str;
+    /// The exposition divides bounds and sum by this: 1e6 turns µs into
+    /// Prometheus' base unit, seconds.
+    const PER_UNIT: f64;
+    /// `(buckets, count, sum, exemplars)`. Exemplars are per-bucket trace
+    /// ids (0 = none); a kind that keeps none lends an empty slice.
+    fn parts(&self) -> (&[u64], u64, u64, &[u64]);
+    /// [`Bucketed::parts`], writable.
+    fn parts_mut(&mut self) -> (&mut [u64], &mut u64, &mut u64, &mut [u64]);
+}
+
+fn write_json_array(w: &mut JsonWriter, key: &str, values: &[u64]) {
+    w.key(key);
+    w.begin_array();
+    for &v in values {
+        w.number_u64(v);
+    }
+    w.end_array();
+}
+
+fn json_u64(obj: &JsonValue, key: &str) -> Result<u64, String> {
+    obj.get(key)
+        .and_then(JsonValue::as_u64)
+        .ok_or_else(|| format!("metrics JSON missing numeric field {key:?}"))
+}
+
+/// Writes `h` as a JSON object: count, sum, the kind's `derived` statistics
+/// (recomputed, never read back), then the grid and what fell on it.
+fn write_json_histogram<H: Bucketed>(w: &mut JsonWriter, h: &H, derived: &[(&str, f64)]) {
+    let (buckets, count, sum, exemplars) = h.parts();
+    w.begin_object();
+    w.key("count");
+    w.number_u64(count);
+    w.key(H::SUM_KEY);
+    w.number_u64(sum);
+    for &(key, value) in derived {
+        w.key(key);
+        w.number_f64(value);
+    }
+    write_json_array(w, H::BOUNDS_KEY, H::BOUNDS);
+    write_json_array(w, "bucket_counts", buckets);
+    if !exemplars.is_empty() {
+        write_json_array(w, "bucket_exemplars", exemplars);
+    }
+    w.end_object();
+}
+
+/// Reads the histogram object under `key` of `obj`.
+fn read_json_histogram<H: Bucketed>(obj: &JsonValue, key: &str) -> Result<H, String> {
+    let h = obj
+        .get(key)
+        .ok_or_else(|| format!("metrics JSON missing histogram {key:?}"))?;
+    let counts = h
+        .get("bucket_counts")
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| format!("histogram {key:?} missing bucket_counts"))?;
+    let mut out = H::default();
+    let (buckets, count, sum, exemplars) = out.parts_mut();
+    if counts.len() != buckets.len() {
+        return Err(format!(
+            "histogram {key:?} has {} buckets, expected {}",
+            counts.len(),
+            buckets.len()
+        ));
+    }
+    for (out, c) in buckets.iter_mut().zip(counts) {
+        *out = c
+            .as_u64()
+            .ok_or_else(|| format!("histogram {key:?} has a non-integer bucket count"))?;
+    }
+    // Absent in artifacts written before exemplar linkage; zeros keep those
+    // parseable.
+    if let Some(raw) = h.get("bucket_exemplars").and_then(JsonValue::as_array) {
+        for (out, e) in exemplars.iter_mut().zip(raw) {
+            *out = e.as_u64().unwrap_or(0);
+        }
+    }
+    *count = json_u64(h, "count")?;
+    *sum = json_u64(h, H::SUM_KEY)?;
+    Ok(out)
+}
+
+fn add_buckets(mine: &mut [u64], theirs: &[u64]) {
+    for (x, y) in mine.iter_mut().zip(theirs) {
+        *x += y;
+    }
+}
+
+fn merge_histogram<H: Bucketed>(mine: &mut H, theirs: &H) {
+    let (buckets, count, sum, exemplars) = mine.parts_mut();
+    let (their_buckets, their_count, their_sum, their_exemplars) = theirs.parts();
+    add_buckets(buckets, their_buckets);
+    *count += their_count;
+    *sum += their_sum;
+    // Exemplars don't add: keep one representative per bucket, preferring
+    // the other snapshot's (arbitrary but deterministic).
+    for (x, &y) in exemplars.iter_mut().zip(their_exemplars) {
+        if y != 0 {
+            *x = y;
+        }
+    }
+}
+
 /// A fixed-bucket batch-occupancy histogram with atomic counters: one
 /// observation per worker dispatch, weighted by how many tasks the dispatch
 /// coalesced.
@@ -51,23 +185,15 @@ impl BatchHistogram {
     /// Records one dispatch of `size` coalesced tasks.
     pub fn record(&self, size: usize) {
         let size = size as u64;
-        let idx = BATCH_BUCKETS
-            .iter()
-            .position(|&bound| size <= bound)
-            .unwrap_or(NUM_BATCH_BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_index(&BATCH_BUCKETS, size)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(size, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the histogram.
     pub fn snapshot(&self) -> BatchSnapshot {
-        let mut buckets = [0u64; NUM_BATCH_BUCKETS];
-        for (out, b) in buckets.iter_mut().zip(self.buckets.iter()) {
-            *out = b.load(Ordering::Relaxed);
-        }
         BatchSnapshot {
-            buckets,
+            buckets: load_all(&self.buckets),
             count: self.count.load(Ordering::Relaxed),
             sum: self.sum.load(Ordering::Relaxed),
         }
@@ -75,7 +201,7 @@ impl BatchHistogram {
 }
 
 /// A point-in-time copy of a [`BatchHistogram`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchSnapshot {
     /// Per-bucket dispatch counts ([`BATCH_BUCKETS`] bounds plus an
     /// overflow bucket).
@@ -97,26 +223,22 @@ impl BatchSnapshot {
     }
 
     fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("count");
-        w.number_u64(self.count);
-        w.key("sum");
-        w.number_u64(self.sum);
-        w.key("mean_occupancy");
-        w.number_f64(self.mean_occupancy());
-        w.key("bucket_bounds");
-        w.begin_array();
-        for bound in BATCH_BUCKETS {
-            w.number_u64(bound);
-        }
-        w.end_array();
-        w.key("bucket_counts");
-        w.begin_array();
-        for &c in &self.buckets {
-            w.number_u64(c);
-        }
-        w.end_array();
-        w.end_object();
+        write_json_histogram(w, self, &[("mean_occupancy", self.mean_occupancy())]);
+    }
+}
+
+impl Bucketed for BatchSnapshot {
+    const BOUNDS: &'static [u64] = &BATCH_BUCKETS;
+    const SUM_KEY: &'static str = "sum";
+    const BOUNDS_KEY: &'static str = "bucket_bounds";
+    const PER_UNIT: f64 = 1.0;
+
+    fn parts(&self) -> (&[u64], u64, u64, &[u64]) {
+        (&self.buckets, self.count, self.sum, &[])
+    }
+
+    fn parts_mut(&mut self) -> (&mut [u64], &mut u64, &mut u64, &mut [u64]) {
+        (&mut self.buckets, &mut self.count, &mut self.sum, &mut [])
     }
 }
 
@@ -144,10 +266,7 @@ impl LatencyHistogram {
     /// bucket's Prometheus series.
     pub fn record_traced(&self, latency: Duration, trace: u64) {
         let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        let idx = LATENCY_BUCKETS_US
-            .iter()
-            .position(|&bound| us <= bound)
-            .unwrap_or(NUM_BUCKETS - 1);
+        let idx = bucket_index(&LATENCY_BUCKETS_US, us);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
@@ -158,25 +277,17 @@ impl LatencyHistogram {
 
     /// A point-in-time copy of the histogram.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; NUM_BUCKETS];
-        for (out, b) in buckets.iter_mut().zip(self.buckets.iter()) {
-            *out = b.load(Ordering::Relaxed);
-        }
-        let mut exemplars = [0u64; NUM_BUCKETS];
-        for (out, e) in exemplars.iter_mut().zip(self.exemplars.iter()) {
-            *out = e.load(Ordering::Relaxed);
-        }
         HistogramSnapshot {
-            buckets,
+            buckets: load_all(&self.buckets),
             count: self.count.load(Ordering::Relaxed),
             sum_us: self.sum_us.load(Ordering::Relaxed),
-            exemplars,
+            exemplars: load_all(&self.exemplars),
         }
     }
 }
 
 /// A point-in-time copy of a [`LatencyHistogram`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket counts ([`LATENCY_BUCKETS_US`] bounds plus an overflow
     /// bucket).
@@ -224,41 +335,34 @@ impl HistogramSnapshot {
         *LATENCY_BUCKETS_US.last().expect("non-empty") as f64 / 1e3
     }
 
-    /// Writes the histogram as a JSON object into `w` (bucket bounds plus
-    /// counts, total and sum).
     fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("count");
-        w.number_u64(self.count);
-        w.key("sum_us");
-        w.number_u64(self.sum_us);
-        w.key("mean_ms");
-        w.number_f64(self.mean_ms());
-        w.key("p50_ms");
-        w.number_f64(self.quantile_ms(0.50));
-        w.key("p95_ms");
-        w.number_f64(self.quantile_ms(0.95));
-        w.key("p99_ms");
-        w.number_f64(self.quantile_ms(0.99));
-        w.key("bucket_bounds_us");
-        w.begin_array();
-        for bound in LATENCY_BUCKETS_US {
-            w.number_u64(bound);
-        }
-        w.end_array();
-        w.key("bucket_counts");
-        w.begin_array();
-        for &c in &self.buckets {
-            w.number_u64(c);
-        }
-        w.end_array();
-        w.key("bucket_exemplars");
-        w.begin_array();
-        for &e in &self.exemplars {
-            w.number_u64(e);
-        }
-        w.end_array();
-        w.end_object();
+        let derived = [
+            ("mean_ms", self.mean_ms()),
+            ("p50_ms", self.quantile_ms(0.50)),
+            ("p95_ms", self.quantile_ms(0.95)),
+            ("p99_ms", self.quantile_ms(0.99)),
+        ];
+        write_json_histogram(w, self, &derived);
+    }
+}
+
+impl Bucketed for HistogramSnapshot {
+    const BOUNDS: &'static [u64] = &LATENCY_BUCKETS_US;
+    const SUM_KEY: &'static str = "sum_us";
+    const BOUNDS_KEY: &'static str = "bucket_bounds_us";
+    const PER_UNIT: f64 = 1e6;
+
+    fn parts(&self) -> (&[u64], u64, u64, &[u64]) {
+        (&self.buckets, self.count, self.sum_us, &self.exemplars)
+    }
+
+    fn parts_mut(&mut self) -> (&mut [u64], &mut u64, &mut u64, &mut [u64]) {
+        (
+            &mut self.buckets,
+            &mut self.count,
+            &mut self.sum_us,
+            &mut self.exemplars,
+        )
     }
 }
 
@@ -395,11 +499,7 @@ impl RollingWindow {
             None => 0,
         };
         if let Some(us) = sample.service_us {
-            let bucket = LATENCY_BUCKETS_US
-                .iter()
-                .position(|&bound| us <= bound)
-                .unwrap_or(NUM_BUCKETS - 1);
-            shard.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+            shard.buckets[bucket_index(&LATENCY_BUCKETS_US, us)].fetch_add(1, Ordering::Relaxed);
             shard.count.fetch_add(1, Ordering::Relaxed);
             shard.sum_us.fetch_add(us, Ordering::Relaxed);
         }
@@ -425,17 +525,7 @@ impl RollingWindow {
         let oldest = newest.saturating_sub(NUM_WINDOW_SHARDS as u64 - 1);
         let mut snap = WindowSnapshot {
             window_ms: self.window_ms(),
-            finished: 0,
-            slo_met: 0,
-            slo_missed: 0,
-            batches: 0,
-            batch_samples: 0,
-            service: HistogramSnapshot {
-                buckets: [0; NUM_BUCKETS],
-                count: 0,
-                sum_us: 0,
-                exemplars: [0; NUM_BUCKETS],
-            },
+            ..WindowSnapshot::default()
         };
         for shard in &self.shards {
             let epoch = shard.epoch.load(Ordering::Acquire);
@@ -449,9 +539,7 @@ impl RollingWindow {
             snap.batch_samples += shard.batch_samples.load(Ordering::Relaxed);
             snap.service.count += shard.count.load(Ordering::Relaxed);
             snap.service.sum_us += shard.sum_us.load(Ordering::Relaxed);
-            for (out, b) in snap.service.buckets.iter_mut().zip(shard.buckets.iter()) {
-                *out += b.load(Ordering::Relaxed);
-            }
+            add_buckets(&mut snap.service.buckets, &load_all(&shard.buckets));
         }
         snap
     }
@@ -459,7 +547,7 @@ impl RollingWindow {
 
 /// A point-in-time rollup of the live window: what happened in the last
 /// [`WindowSnapshot::window_ms`] milliseconds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowSnapshot {
     /// Window span in ms.
     pub window_ms: u64,
@@ -531,58 +619,254 @@ impl WindowSnapshot {
         self.service.write_json(w);
         w.end_object();
     }
+
+    fn read_json(obj: &JsonValue, key: &str) -> Result<Self, String> {
+        let window = obj
+            .get(key)
+            .ok_or_else(|| format!("metrics JSON missing {key}"))?;
+        Ok(WindowSnapshot {
+            window_ms: json_u64(window, "window_ms")?,
+            finished: json_u64(window, "finished")?,
+            slo_met: json_u64(window, "slo_met")?,
+            slo_missed: json_u64(window, "slo_missed")?,
+            batches: json_u64(window, "batches")?,
+            batch_samples: json_u64(window, "batch_samples")?,
+            service: read_json_histogram(window, "service")?,
+        })
+    }
+
+    fn merge(&mut self, other: &WindowSnapshot) {
+        self.window_ms = self.window_ms.max(other.window_ms);
+        self.finished += other.finished;
+        self.slo_met += other.slo_met;
+        self.slo_missed += other.slo_missed;
+        self.batches += other.batches;
+        self.batch_samples += other.batch_samples;
+        merge_histogram(&mut self.service, &other.service);
+    }
 }
 
-/// The pool's serving metrics: task counters, queue gauges and latency
-/// histograms. Shared (`Arc`) between the pool handle and its workers.
-#[derive(Debug)]
-pub struct ServeMetrics {
-    submitted: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
-    preempted: AtomicU64,
-    deadline_expired: AtomicU64,
-    deadline_met: AtomicU64,
-    shed_expired_at_dequeue: AtomicU64,
-    panicked: AtomicU64,
-    queue_depth: AtomicU64,
-    queue_high_water: AtomicU64,
-    open_connections: AtomicU64,
-    inflight_requests: AtomicU64,
-    started: Instant,
-    /// Admission → dequeue.
-    pub queue_wait: LatencyHistogram,
-    /// Dequeue → outcome.
-    pub service: LatencyHistogram,
-    /// Tasks per worker dispatch (batch occupancy).
-    pub batch: BatchHistogram,
-    /// Rolling window over finished tasks (last ~2 s by default).
-    pub window: RollingWindow,
+/// How a scalar is typed and scaled in the Prometheus exposition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PromKind {
+    /// A monotonic `counter`, printed as the integer it is.
+    Counter,
+    /// A `gauge` printed as is.
+    Gauge,
+    /// A `gauge` stored in µs and printed in seconds, Prometheus' base unit.
+    SecondsGauge,
 }
 
-impl Default for ServeMetrics {
-    fn default() -> Self {
-        ServeMetrics {
-            submitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            preempted: AtomicU64::new(0),
-            deadline_expired: AtomicU64::new(0),
-            deadline_met: AtomicU64::new(0),
-            shed_expired_at_dequeue: AtomicU64::new(0),
-            panicked: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            queue_high_water: AtomicU64::new(0),
-            open_connections: AtomicU64::new(0),
-            inflight_requests: AtomicU64::new(0),
-            started: Instant::now(),
-            queue_wait: LatencyHistogram::default(),
-            service: LatencyHistogram::default(),
-            batch: BatchHistogram::default(),
-            window: RollingWindow::default(),
+/// How a scalar combines when two snapshots merge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Merge {
+    Sum,
+    Max,
+}
+
+/// Whether [`MetricsSnapshot::from_json`] insists on a scalar's key or
+/// reads a missing one as 0 (rows added after artifacts were already on
+/// disk are `Defaulted`, so those artifacts keep parsing).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Json {
+    Required,
+    Defaulted,
+}
+
+/// One scalar of the registry: everything the JSON codec, `merge` and the
+/// exposition need to know about it. The JSON key is the field name.
+struct ScalarRow {
+    field: &'static str,
+    kind: PromKind,
+    prom: &'static str,
+    help: &'static str,
+    merge: Merge,
+    json: Json,
+    get: fn(&MetricsSnapshot) -> u64,
+    get_mut: fn(&mut MetricsSnapshot) -> &mut u64,
+}
+
+impl ScalarRow {
+    /// The family's `# TYPE`.
+    fn prom_type(&self) -> &'static str {
+        match self.kind {
+            PromKind::Counter => "counter",
+            PromKind::Gauge | PromKind::SecondsGauge => "gauge",
+        }
+    }
+
+    /// The sample value as the exposition prints it.
+    fn prom_value(&self, snap: &MetricsSnapshot) -> String {
+        let value = (self.get)(snap);
+        match self.kind {
+            PromKind::Counter => value.to_string(),
+            PromKind::Gauge => (value as f64).to_string(),
+            PromKind::SecondsGauge => (value as f64 / 1e6).to_string(),
         }
     }
 }
+
+/// Declares the registry's scalars, one row each:
+///
+/// ```text
+/// /// more field doc
+/// field: Kind "prometheus_name" "help text", MergeRule, JsonRule;
+/// ```
+///
+/// The help text is also the first paragraph of the snapshot field's doc.
+/// `recorded` rows are backed by an atomic in [`ServeMetrics`] that a
+/// recorder increments; `sampled` rows exist only in the snapshot and are
+/// filled in by [`ServeMetrics::snapshot`]. From the rows the macro
+/// generates both structs (rows first, in order, then the histograms) and
+/// the `SCALARS` table everything else iterates.
+macro_rules! serve_scalars {
+    (
+        recorded { $( $(#[$rdoc:meta])* $rec:ident: $rkind:ident $rprom:literal $rhelp:literal, $rmerge:ident, $rjson:ident; )+ }
+        sampled { $( $(#[$sdoc:meta])* $smp:ident: $skind:ident $sprom:literal $shelp:literal, $smerge:ident, $sjson:ident; )+ }
+    ) => {
+        /// The pool's serving metrics: task counters, queue gauges and
+        /// latency histograms. Shared (`Arc`) between the pool handle and
+        /// its workers.
+        #[derive(Debug)]
+        pub struct ServeMetrics {
+            $( $rec: AtomicU64, )+
+            started: Instant,
+            /// Admission → dequeue.
+            pub queue_wait: LatencyHistogram,
+            /// Dequeue → outcome.
+            pub service: LatencyHistogram,
+            /// Tasks per worker dispatch (batch occupancy).
+            pub batch: BatchHistogram,
+            /// Rolling window over finished tasks (last ~2 s by default).
+            pub window: RollingWindow,
+        }
+
+        impl Default for ServeMetrics {
+            fn default() -> Self {
+                ServeMetrics {
+                    $( $rec: AtomicU64::new(0), )+
+                    started: Instant::now(),
+                    queue_wait: LatencyHistogram::default(),
+                    service: LatencyHistogram::default(),
+                    batch: BatchHistogram::default(),
+                    window: RollingWindow::default(),
+                }
+            }
+        }
+
+        impl ServeMetrics {
+            fn load_recorded(&self, snap: &mut MetricsSnapshot) {
+                $( snap.$rec = self.$rec.load(Ordering::Relaxed); )+
+            }
+        }
+
+        /// A point-in-time copy of [`ServeMetrics`]. `Default` is all-zero —
+        /// the identity for [`MetricsSnapshot::merge`].
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $( #[doc = $rhelp] #[doc = ""] $(#[$rdoc])* pub $rec: u64, )+
+            $( #[doc = $shelp] #[doc = ""] $(#[$sdoc])* pub $smp: u64, )+
+            /// Admission → dequeue latencies.
+            pub queue_wait: HistogramSnapshot,
+            /// Dequeue → outcome latencies.
+            pub service: HistogramSnapshot,
+            /// Batch-occupancy histogram (tasks per worker dispatch).
+            pub batch: BatchSnapshot,
+            /// The live rolling window at snapshot time.
+            pub window: WindowSnapshot,
+        }
+
+        const SCALARS: &[ScalarRow] = &[
+            $( serve_scalars!(@row $rec $rkind $rprom $rhelp $rmerge $rjson), )+
+            $( serve_scalars!(@row $smp $skind $sprom $shelp $smerge $sjson), )+
+        ];
+    };
+    (@row $field:ident $kind:ident $prom:literal $help:literal $merge:ident $json:ident) => {
+        ScalarRow {
+            field: stringify!($field),
+            kind: PromKind::$kind,
+            prom: $prom,
+            help: $help,
+            merge: Merge::$merge,
+            json: Json::$json,
+            get: |s| s.$field,
+            get_mut: |s| &mut s.$field,
+        }
+    };
+}
+
+serve_scalars! {
+    recorded {
+        submitted: Counter "einet_tasks_submitted_total" "Tasks admitted into the queue.", Sum, Required;
+        rejected: Counter "einet_tasks_rejected_total" "Submissions bounced with QueueFull.", Sum, Required;
+        completed: Counter "einet_tasks_completed_total" "Tasks that ran to the end of their plan.", Sum, Required;
+        preempted: Counter "einet_tasks_preempted_total" "Tasks stopped by the shared gate.", Sum, Required;
+        deadline_expired: Counter "einet_tasks_deadline_expired_total" "Tasks stopped by their own deadline.", Sum, Required;
+        /// This is the cumulative SLO numerator; the denominator is this
+        /// plus `deadline_expired` plus `shed_expired_at_dequeue`.
+        deadline_met: Counter "einet_tasks_deadline_met_total" "Deadline-carrying tasks that completed in time.", Sum, Required;
+        /// The deadline passed while they queued; they never reached a
+        /// worker.
+        shed_expired_at_dequeue: Counter "einet_tasks_shed_total" "Tasks dropped at dequeue with an already-expired deadline.", Sum, Required;
+        panicked: Counter "einet_tasks_panicked_total" "Tasks lost to a worker panic.", Sum, Required;
+        queue_depth: Gauge "einet_queue_depth" "Tasks currently waiting in the queue.", Sum, Required;
+        /// Merging sums it: per-replica high-water marks need not have
+        /// coincided in time, so the sum is an upper bound on the true
+        /// aggregate high water.
+        queue_high_water: Gauge "einet_queue_high_water" "Deepest the queue has ever been.", Sum, Required;
+        /// 0 for pool-only registries.
+        open_connections: Gauge "einet_server_open_connections" "Client connections currently open on the serving front-end.", Sum, Defaulted;
+        /// 0 for pool-only registries.
+        inflight_requests: Gauge "einet_server_inflight_requests" "Wire requests accepted but not yet answered.", Sum, Defaulted;
+    }
+    sampled {
+        /// In µs, taken when the snapshot was. Merging takes the maximum:
+        /// the age of the oldest constituent.
+        uptime_us: SecondsGauge "einet_uptime_seconds" "Registry age at scrape time.", Max, Required;
+    }
+}
+
+/// `(name, help, value)` of a gauge the exposition computes from the
+/// histograms and the rolling window rather than reads from a stored scalar.
+type DerivedGauge = (&'static str, &'static str, fn(&MetricsSnapshot) -> f64);
+
+const DERIVED_GAUGES: &[DerivedGauge] = &[
+    (
+        "einet_batch_mean_occupancy",
+        "Mean tasks per worker dispatch since start.",
+        |s| s.batch.mean_occupancy(),
+    ),
+    (
+        "einet_window_finished",
+        "Tasks finished inside the rolling window.",
+        |s| s.window.finished as f64,
+    ),
+    (
+        "einet_window_throughput_per_sec",
+        "Finished tasks per second over the rolling window.",
+        |s| s.window.throughput_per_sec(),
+    ),
+    (
+        "einet_window_slo_attainment",
+        "Fraction of deadline-carrying tasks meeting their deadline in the window.",
+        |s| s.window.slo_attainment(),
+    ),
+    (
+        "einet_window_service_p50_seconds",
+        "Windowed service-latency p50 upper bound.",
+        |s| s.window.service.quantile_ms(0.50) / 1e3,
+    ),
+    (
+        "einet_window_service_p99_seconds",
+        "Windowed service-latency p99 upper bound.",
+        |s| s.window.service.quantile_ms(0.99) / 1e3,
+    ),
+    (
+        "einet_window_batch_occupancy",
+        "Mean tasks per worker dispatch over the rolling window.",
+        |s| s.window.mean_occupancy(),
+    ),
+];
 
 impl ServeMetrics {
     /// Creates an all-zero registry; the rolling window's time zero is now.
@@ -735,70 +1019,18 @@ impl ServeMetrics {
 
     /// A point-in-time copy of every counter and histogram.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            preempted: self.preempted.load(Ordering::Relaxed),
-            deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
-            deadline_met: self.deadline_met.load(Ordering::Relaxed),
-            shed_expired_at_dequeue: self.shed_expired_at_dequeue.load(Ordering::Relaxed),
-            panicked: self.panicked.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            queue_high_water: self.queue_high_water.load(Ordering::Relaxed),
-            open_connections: self.open_connections.load(Ordering::Relaxed),
-            inflight_requests: self.inflight_requests.load(Ordering::Relaxed),
-            uptime_us: u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX),
+        let uptime = self.started.elapsed();
+        let mut snap = MetricsSnapshot {
+            uptime_us: u64::try_from(uptime.as_micros()).unwrap_or(u64::MAX),
             queue_wait: self.queue_wait.snapshot(),
             service: self.service.snapshot(),
             batch: self.batch.snapshot(),
-            window: self.window.snapshot_at(self.started.elapsed()),
-        }
+            window: self.window.snapshot_at(uptime),
+            ..MetricsSnapshot::default()
+        };
+        self.load_recorded(&mut snap);
+        snap
     }
-}
-
-/// A point-in-time copy of [`ServeMetrics`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Tasks admitted into the queue.
-    pub submitted: u64,
-    /// Submissions bounced with `QueueFull`.
-    pub rejected: u64,
-    /// Tasks that ran to the end of their plan.
-    pub completed: u64,
-    /// Tasks stopped by the shared gate.
-    pub preempted: u64,
-    /// Tasks stopped by their own deadline.
-    pub deadline_expired: u64,
-    /// Deadline-carrying tasks that completed in time (the cumulative SLO
-    /// numerator; the denominator is this plus `deadline_expired` plus
-    /// `shed_expired_at_dequeue`).
-    pub deadline_met: u64,
-    /// Tasks dropped at dequeue because their deadline had already passed
-    /// while they queued (they never reached a worker).
-    pub shed_expired_at_dequeue: u64,
-    /// Tasks lost to a worker panic.
-    pub panicked: u64,
-    /// Tasks currently waiting in the queue.
-    pub queue_depth: u64,
-    /// Deepest the queue has ever been.
-    pub queue_high_water: u64,
-    /// Client connections currently open on the serving front-end (0 for
-    /// pool-only registries).
-    pub open_connections: u64,
-    /// Wire requests accepted but not yet answered (0 for pool-only
-    /// registries).
-    pub inflight_requests: u64,
-    /// Registry age when the snapshot was taken (µs).
-    pub uptime_us: u64,
-    /// Admission → dequeue latencies.
-    pub queue_wait: HistogramSnapshot,
-    /// Dequeue → outcome latencies.
-    pub service: HistogramSnapshot,
-    /// Batch-occupancy histogram (tasks per worker dispatch).
-    pub batch: BatchSnapshot,
-    /// The live rolling window at snapshot time.
-    pub window: WindowSnapshot,
 }
 
 impl MetricsSnapshot {
@@ -820,38 +1052,22 @@ impl MetricsSnapshot {
 
     /// Serialises the snapshot as a JSON object (the `serve_metrics.json`
     /// artifact), through the same hand-rolled writer as the trace
-    /// exporters.
+    /// exporters: the counter rows, the derived `finished` total, the gauge
+    /// rows, then the histograms.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.key("submitted");
-        w.number_u64(self.submitted);
-        w.key("rejected");
-        w.number_u64(self.rejected);
-        w.key("completed");
-        w.number_u64(self.completed);
-        w.key("preempted");
-        w.number_u64(self.preempted);
-        w.key("deadline_expired");
-        w.number_u64(self.deadline_expired);
-        w.key("deadline_met");
-        w.number_u64(self.deadline_met);
-        w.key("shed_expired_at_dequeue");
-        w.number_u64(self.shed_expired_at_dequeue);
-        w.key("panicked");
-        w.number_u64(self.panicked);
+        let is_counter = |row: &&ScalarRow| row.kind == PromKind::Counter;
+        for row in SCALARS.iter().filter(is_counter) {
+            w.key(row.field);
+            w.number_u64((row.get)(self));
+        }
         w.key("finished");
         w.number_u64(self.finished());
-        w.key("queue_depth");
-        w.number_u64(self.queue_depth);
-        w.key("queue_high_water");
-        w.number_u64(self.queue_high_water);
-        w.key("open_connections");
-        w.number_u64(self.open_connections);
-        w.key("inflight_requests");
-        w.number_u64(self.inflight_requests);
-        w.key("uptime_us");
-        w.number_u64(self.uptime_us);
+        for row in SCALARS.iter().filter(|row| !is_counter(row)) {
+            w.key(row.field);
+            w.number_u64((row.get)(self));
+        }
         w.key("queue_wait");
         self.queue_wait.write_json(&mut w);
         w.key("service");
@@ -874,226 +1090,47 @@ impl MetricsSnapshot {
     /// Returns a message on invalid JSON or a missing/mistyped field.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let v = einet_trace::json::parse(text).map_err(|e| format!("invalid metrics JSON: {e}"))?;
-        let num = |obj: &JsonValue, key: &str| {
-            obj.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("metrics JSON missing numeric field {key:?}"))
+        let mut snap = MetricsSnapshot {
+            queue_wait: read_json_histogram(&v, "queue_wait")?,
+            service: read_json_histogram(&v, "service")?,
+            batch: read_json_histogram(&v, "batch")?,
+            window: WindowSnapshot::read_json(&v, "window")?,
+            ..MetricsSnapshot::default()
         };
-        let histogram = |obj: &JsonValue, key: &str| -> Result<HistogramSnapshot, String> {
-            let h = obj
-                .get(key)
-                .ok_or_else(|| format!("metrics JSON missing histogram {key:?}"))?;
-            let counts = h
-                .get("bucket_counts")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| format!("histogram {key:?} missing bucket_counts"))?;
-            if counts.len() != NUM_BUCKETS {
-                return Err(format!(
-                    "histogram {key:?} has {} buckets, expected {NUM_BUCKETS}",
-                    counts.len()
-                ));
-            }
-            let mut buckets = [0u64; NUM_BUCKETS];
-            for (out, c) in buckets.iter_mut().zip(counts) {
-                *out = c
-                    .as_u64()
-                    .ok_or_else(|| format!("histogram {key:?} has a non-integer bucket count"))?;
-            }
-            // Absent in artifacts written before exemplar linkage; zeros
-            // keep those parseable.
-            let mut exemplars = [0u64; NUM_BUCKETS];
-            if let Some(raw) = h.get("bucket_exemplars").and_then(JsonValue::as_array) {
-                for (out, e) in exemplars.iter_mut().zip(raw) {
-                    *out = e.as_u64().unwrap_or(0);
-                }
-            }
-            Ok(HistogramSnapshot {
-                buckets,
-                count: num(h, "count")?,
-                sum_us: num(h, "sum_us")?,
-                exemplars,
-            })
-        };
-        let batch_histogram = |obj: &JsonValue, key: &str| -> Result<BatchSnapshot, String> {
-            let h = obj
-                .get(key)
-                .ok_or_else(|| format!("metrics JSON missing batch histogram {key:?}"))?;
-            let counts = h
-                .get("bucket_counts")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| format!("batch histogram {key:?} missing bucket_counts"))?;
-            if counts.len() != NUM_BATCH_BUCKETS {
-                return Err(format!(
-                    "batch histogram {key:?} has {} buckets, expected {NUM_BATCH_BUCKETS}",
-                    counts.len()
-                ));
-            }
-            let mut buckets = [0u64; NUM_BATCH_BUCKETS];
-            for (out, c) in buckets.iter_mut().zip(counts) {
-                *out = c.as_u64().ok_or_else(|| {
-                    format!("batch histogram {key:?} has a non-integer bucket count")
-                })?;
-            }
-            Ok(BatchSnapshot {
-                buckets,
-                count: num(h, "count")?,
-                sum: num(h, "sum")?,
-            })
-        };
-        let window = v
-            .get("window")
-            .ok_or_else(|| "metrics JSON missing window".to_string())?;
-        Ok(MetricsSnapshot {
-            submitted: num(&v, "submitted")?,
-            rejected: num(&v, "rejected")?,
-            completed: num(&v, "completed")?,
-            preempted: num(&v, "preempted")?,
-            deadline_expired: num(&v, "deadline_expired")?,
-            deadline_met: num(&v, "deadline_met")?,
-            shed_expired_at_dequeue: num(&v, "shed_expired_at_dequeue")?,
-            panicked: num(&v, "panicked")?,
-            queue_depth: num(&v, "queue_depth")?,
-            queue_high_water: num(&v, "queue_high_water")?,
-            // Absent in artifacts written before the serving front-end grew
-            // connection gauges; default 0 keeps those parseable.
-            open_connections: v
-                .get("open_connections")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0),
-            inflight_requests: v
-                .get("inflight_requests")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0),
-            uptime_us: num(&v, "uptime_us")?,
-            queue_wait: histogram(&v, "queue_wait")?,
-            service: histogram(&v, "service")?,
-            batch: batch_histogram(&v, "batch")?,
-            window: WindowSnapshot {
-                window_ms: num(window, "window_ms")?,
-                finished: num(window, "finished")?,
-                slo_met: num(window, "slo_met")?,
-                slo_missed: num(window, "slo_missed")?,
-                batches: num(window, "batches")?,
-                batch_samples: num(window, "batch_samples")?,
-                service: histogram(window, "service")?,
-            },
-        })
-    }
-
-    /// Returns an all-zero snapshot — the identity for
-    /// [`MetricsSnapshot::merge`].
-    pub fn empty() -> Self {
-        MetricsSnapshot {
-            submitted: 0,
-            rejected: 0,
-            completed: 0,
-            preempted: 0,
-            deadline_expired: 0,
-            deadline_met: 0,
-            shed_expired_at_dequeue: 0,
-            panicked: 0,
-            queue_depth: 0,
-            queue_high_water: 0,
-            open_connections: 0,
-            inflight_requests: 0,
-            uptime_us: 0,
-            queue_wait: HistogramSnapshot {
-                buckets: [0; NUM_BUCKETS],
-                count: 0,
-                sum_us: 0,
-                exemplars: [0; NUM_BUCKETS],
-            },
-            service: HistogramSnapshot {
-                buckets: [0; NUM_BUCKETS],
-                count: 0,
-                sum_us: 0,
-                exemplars: [0; NUM_BUCKETS],
-            },
-            batch: BatchSnapshot {
-                buckets: [0; NUM_BATCH_BUCKETS],
-                count: 0,
-                sum: 0,
-            },
-            window: WindowSnapshot {
-                window_ms: 0,
-                finished: 0,
-                slo_met: 0,
-                slo_missed: 0,
-                batches: 0,
-                batch_samples: 0,
-                service: HistogramSnapshot {
-                    buckets: [0; NUM_BUCKETS],
-                    count: 0,
-                    sum_us: 0,
-                    exemplars: [0; NUM_BUCKETS],
-                },
-            },
+        for row in SCALARS {
+            *(row.get_mut)(&mut snap) = match row.json {
+                Json::Required => json_u64(&v, row.field)?,
+                Json::Defaulted => v.get(row.field).and_then(JsonValue::as_u64).unwrap_or(0),
+            };
         }
+        Ok(snap)
     }
 
-    /// Folds `other` into `self`, counter by counter and bucket by bucket —
+    /// Folds `other` into `self`, scalar by scalar and bucket by bucket —
     /// how a registry aggregates the replicas of one model (or every model
     /// of a registry) into a single fleet-level snapshot.
     ///
-    /// Additive fields (counters, histogram buckets, window totals,
-    /// `queue_depth`) sum exactly. Two fields are approximations by nature:
-    /// `uptime_us` takes the maximum (the age of the oldest constituent),
-    /// and `queue_high_water` sums — per-replica high-water marks need not
-    /// have coincided in time, so the sum is an upper bound on the true
-    /// aggregate high water.
+    /// Scalars follow their row's merge rule; histogram buckets and window
+    /// totals sum exactly, and the window span takes the maximum.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
-        let add_hist = |a: &mut HistogramSnapshot, b: &HistogramSnapshot| {
-            for (x, y) in a.buckets.iter_mut().zip(b.buckets.iter()) {
-                *x += y;
-            }
-            a.count += b.count;
-            a.sum_us += b.sum_us;
-            // Exemplars don't add: keep one representative per bucket,
-            // preferring the other snapshot's (arbitrary but deterministic).
-            for (x, &y) in a.exemplars.iter_mut().zip(b.exemplars.iter()) {
-                if y != 0 {
-                    *x = y;
-                }
-            }
-        };
-        self.submitted += other.submitted;
-        self.rejected += other.rejected;
-        self.completed += other.completed;
-        self.preempted += other.preempted;
-        self.deadline_expired += other.deadline_expired;
-        self.deadline_met += other.deadline_met;
-        self.shed_expired_at_dequeue += other.shed_expired_at_dequeue;
-        self.panicked += other.panicked;
-        self.queue_depth += other.queue_depth;
-        self.queue_high_water += other.queue_high_water;
-        self.open_connections += other.open_connections;
-        self.inflight_requests += other.inflight_requests;
-        self.uptime_us = self.uptime_us.max(other.uptime_us);
-        add_hist(&mut self.queue_wait, &other.queue_wait);
-        add_hist(&mut self.service, &other.service);
-        for (x, y) in self
-            .batch
-            .buckets
-            .iter_mut()
-            .zip(other.batch.buckets.iter())
-        {
-            *x += y;
+        for row in SCALARS {
+            let theirs = (row.get)(other);
+            let mine = (row.get_mut)(self);
+            *mine = match row.merge {
+                Merge::Sum => *mine + theirs,
+                Merge::Max => (*mine).max(theirs),
+            };
         }
-        self.batch.count += other.batch.count;
-        self.batch.sum += other.batch.sum;
-        self.window.window_ms = self.window.window_ms.max(other.window.window_ms);
-        self.window.finished += other.window.finished;
-        self.window.slo_met += other.window.slo_met;
-        self.window.slo_missed += other.window.slo_missed;
-        self.window.batches += other.window.batches;
-        self.window.batch_samples += other.window.batch_samples;
-        add_hist(&mut self.window.service, &other.window.service);
+        merge_histogram(&mut self.queue_wait, &other.queue_wait);
+        merge_histogram(&mut self.service, &other.service);
+        merge_histogram(&mut self.batch, &other.batch);
+        self.window.merge(&other.window);
     }
 
     /// Merges any number of snapshots into one (see
     /// [`MetricsSnapshot::merge`] for the semantics of each field).
     pub fn merged<'a>(snaps: impl IntoIterator<Item = &'a MetricsSnapshot>) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::empty();
+        let mut out = MetricsSnapshot::default();
         for s in snaps {
             out.merge(s);
         }
@@ -1104,264 +1141,7 @@ impl MetricsSnapshot {
     /// counters, queue gauges, cumulative-bucket latency histograms, and
     /// the windowed throughput/SLO/latency gauges.
     pub fn to_prom_text(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        self.write_prom_into(&mut out, &[], true);
-        out
-    }
-
-    /// Like [`MetricsSnapshot::to_prom_text`], attaching `labels` (e.g.
-    /// `[("model", "resnet")]`) to every emitted series — the per-model
-    /// exposition of a multi-tenant registry.
-    pub fn to_prom_text_labeled(&self, labels: &[(&str, &str)]) -> String {
-        let mut out = String::with_capacity(2048);
-        self.write_prom_into(&mut out, labels, true);
-        out
-    }
-
-    /// Appends this snapshot's exposition to `out` with the given labels.
-    /// `headers` controls the `# HELP`/`# TYPE` comment lines: when
-    /// concatenating several labeled snapshots of the *same* metric family
-    /// (one per model), emit headers for the first block only.
-    pub fn write_prom_into(&self, out: &mut String, labels: &[(&str, &str)], headers: bool) {
-        use std::fmt::Write as _;
-        // `model="a",tier="b"` — no surrounding braces, so histogram series
-        // can append their own `le` label.
-        let base: String = labels
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
-            .collect::<Vec<_>>()
-            .join(",");
-        let series = |name: &str| -> String {
-            if base.is_empty() {
-                name.to_string()
-            } else {
-                format!("{name}{{{base}}}")
-            }
-        };
-        let series_with = |name: &str, extra: &str| -> String {
-            if base.is_empty() {
-                format!("{name}{{{extra}}}")
-            } else {
-                format!("{name}{{{base},{extra}}}")
-            }
-        };
-        let counter = |out: &mut String, name: &str, help: &str, value: u64| {
-            if headers {
-                let _ = writeln!(out, "# HELP {name} {help}");
-                let _ = writeln!(out, "# TYPE {name} counter");
-            }
-            let _ = writeln!(out, "{} {value}", series(name));
-        };
-        counter(
-            out,
-            "einet_tasks_submitted_total",
-            "Tasks admitted into the queue.",
-            self.submitted,
-        );
-        counter(
-            out,
-            "einet_tasks_rejected_total",
-            "Submissions bounced with QueueFull.",
-            self.rejected,
-        );
-        counter(
-            out,
-            "einet_tasks_completed_total",
-            "Tasks that ran to the end of their plan.",
-            self.completed,
-        );
-        counter(
-            out,
-            "einet_tasks_preempted_total",
-            "Tasks stopped by the shared gate.",
-            self.preempted,
-        );
-        counter(
-            out,
-            "einet_tasks_deadline_expired_total",
-            "Tasks stopped by their own deadline.",
-            self.deadline_expired,
-        );
-        counter(
-            out,
-            "einet_tasks_deadline_met_total",
-            "Deadline-carrying tasks that completed in time.",
-            self.deadline_met,
-        );
-        counter(
-            out,
-            "einet_tasks_shed_total",
-            "Tasks dropped at dequeue with an already-expired deadline.",
-            self.shed_expired_at_dequeue,
-        );
-        counter(
-            out,
-            "einet_tasks_panicked_total",
-            "Tasks lost to a worker panic.",
-            self.panicked,
-        );
-        let gauge = |out: &mut String, name: &str, help: &str, value: f64| {
-            if headers {
-                let _ = writeln!(out, "# HELP {name} {help}");
-                let _ = writeln!(out, "# TYPE {name} gauge");
-            }
-            let _ = writeln!(out, "{} {value}", series(name));
-        };
-        gauge(
-            out,
-            "einet_queue_depth",
-            "Tasks currently waiting in the queue.",
-            self.queue_depth as f64,
-        );
-        gauge(
-            out,
-            "einet_queue_high_water",
-            "Deepest the queue has ever been.",
-            self.queue_high_water as f64,
-        );
-        gauge(
-            out,
-            "einet_server_open_connections",
-            "Client connections currently open on the serving front-end.",
-            self.open_connections as f64,
-        );
-        gauge(
-            out,
-            "einet_server_inflight_requests",
-            "Wire requests accepted but not yet answered.",
-            self.inflight_requests as f64,
-        );
-        gauge(
-            out,
-            "einet_uptime_seconds",
-            "Registry age at scrape time.",
-            self.uptime_us as f64 / 1e6,
-        );
-        let histogram = |out: &mut String, name: &str, help: &str, h: &HistogramSnapshot| {
-            if headers {
-                let _ = writeln!(out, "# HELP {name} {help}");
-                let _ = writeln!(out, "# TYPE {name} histogram");
-            }
-            let bucket = format!("{name}_bucket");
-            // Exemplar-style linkage (comment form — the plain text
-            // exposition has no native exemplar syntax): the most recent
-            // trace id that landed in each bucket, so a slow bucket can be
-            // chased to one concrete distributed trace in the streams.
-            let exemplar = |out: &mut String, le: &str, trace: u64| {
-                if trace != 0 {
-                    let _ = writeln!(
-                        out,
-                        "# exemplar {} trace_id={trace}",
-                        series_with(&bucket, &format!("le=\"{le}\""))
-                    );
-                }
-            };
-            let mut cumulative = 0u64;
-            for (i, bound) in LATENCY_BUCKETS_US.iter().enumerate() {
-                cumulative += h.buckets[i];
-                let le = format!("{}", *bound as f64 / 1e6);
-                let _ = writeln!(
-                    out,
-                    "{} {cumulative}",
-                    series_with(&bucket, &format!("le=\"{le}\""))
-                );
-                exemplar(out, &le, h.exemplars[i]);
-            }
-            let _ = writeln!(out, "{} {}", series_with(&bucket, "le=\"+Inf\""), h.count);
-            exemplar(out, "+Inf", h.exemplars[NUM_BUCKETS - 1]);
-            let _ = writeln!(
-                out,
-                "{} {}",
-                series(&format!("{name}_sum")),
-                h.sum_us as f64 / 1e6
-            );
-            let _ = writeln!(out, "{} {}", series(&format!("{name}_count")), h.count);
-        };
-        histogram(
-            out,
-            "einet_queue_wait_seconds",
-            "Admission to dequeue.",
-            &self.queue_wait,
-        );
-        histogram(
-            out,
-            "einet_service_seconds",
-            "Dequeue to outcome.",
-            &self.service,
-        );
-        // Batch occupancy: a histogram over dispatch sizes, not latencies.
-        {
-            let name = "einet_batch_size";
-            if headers {
-                let _ = writeln!(out, "# HELP {name} Tasks coalesced per worker dispatch.");
-                let _ = writeln!(out, "# TYPE {name} histogram");
-            }
-            let bucket = format!("{name}_bucket");
-            let mut cumulative = 0u64;
-            for (i, bound) in BATCH_BUCKETS.iter().enumerate() {
-                cumulative += self.batch.buckets[i];
-                let _ = writeln!(
-                    out,
-                    "{} {cumulative}",
-                    series_with(&bucket, &format!("le=\"{bound}\""))
-                );
-            }
-            let _ = writeln!(
-                out,
-                "{} {}",
-                series_with(&bucket, "le=\"+Inf\""),
-                self.batch.count
-            );
-            let _ = writeln!(out, "{} {}", series(&format!("{name}_sum")), self.batch.sum);
-            let _ = writeln!(
-                out,
-                "{} {}",
-                series(&format!("{name}_count")),
-                self.batch.count
-            );
-        }
-        gauge(
-            out,
-            "einet_batch_mean_occupancy",
-            "Mean tasks per worker dispatch since start.",
-            self.batch.mean_occupancy(),
-        );
-        gauge(
-            out,
-            "einet_window_finished",
-            "Tasks finished inside the rolling window.",
-            self.window.finished as f64,
-        );
-        gauge(
-            out,
-            "einet_window_throughput_per_sec",
-            "Finished tasks per second over the rolling window.",
-            self.window.throughput_per_sec(),
-        );
-        gauge(
-            out,
-            "einet_window_slo_attainment",
-            "Fraction of deadline-carrying tasks meeting their deadline in the window.",
-            self.window.slo_attainment(),
-        );
-        gauge(
-            out,
-            "einet_window_service_p50_seconds",
-            "Windowed service-latency p50 upper bound.",
-            self.window.service.quantile_ms(0.50) / 1e3,
-        );
-        gauge(
-            out,
-            "einet_window_service_p99_seconds",
-            "Windowed service-latency p99 upper bound.",
-            self.window.service.quantile_ms(0.99) / 1e3,
-        );
-        gauge(
-            out,
-            "einet_window_batch_occupancy",
-            "Mean tasks per worker dispatch over the rolling window.",
-            self.window.mean_occupancy(),
-        );
+        prom_text(&[(&[], self)])
     }
 
     /// At rest (queue drained, no task in flight) every admitted task must
@@ -1369,6 +1149,126 @@ impl MetricsSnapshot {
     pub fn reconciles(&self) -> bool {
         self.queue_depth == 0 && self.finished() == self.submitted
     }
+}
+
+/// One labeled snapshot of a Prometheus exposition: every series it
+/// contributes carries the labels (e.g. `[("model", "resnet")]`).
+pub type PromBlock<'a> = (&'a [(&'a str, &'a str)], &'a MetricsSnapshot);
+
+/// `name{base,extra}` with whichever of the two label groups is non-empty.
+fn series(name: &str, base: &str, extra: &str) -> String {
+    match (base.is_empty(), extra.is_empty()) {
+        (true, true) => name.to_string(),
+        (false, true) => format!("{name}{{{base}}}"),
+        (true, false) => format!("{name}{{{extra}}}"),
+        (false, false) => format!("{name}{{{base},{extra}}}"),
+    }
+}
+
+fn write_family_header(out: &mut String, name: &str, help: &str, kind: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+/// One histogram family: cumulative `_bucket` series, `_sum` and `_count`
+/// for the histogram `of` picks out of each block.
+fn write_histogram_family<H: Bucketed>(
+    out: &mut String,
+    blocks: &[(String, &MetricsSnapshot)],
+    name: &str,
+    help: &str,
+    of: fn(&MetricsSnapshot) -> &H,
+) {
+    write_family_header(out, name, help, "histogram");
+    let bucket = format!("{name}_bucket");
+    for (base, snap) in blocks {
+        let (buckets, count, sum, exemplars) = of(snap).parts();
+        let mut cumulative = 0u64;
+        for (i, in_bucket) in buckets.iter().enumerate() {
+            let (le, total) = match H::BOUNDS.get(i) {
+                Some(&bound) => {
+                    cumulative += in_bucket;
+                    (format!("le=\"{}\"", bound as f64 / H::PER_UNIT), cumulative)
+                }
+                None => ("le=\"+Inf\"".to_string(), count),
+            };
+            let bucket_series = series(&bucket, base, &le);
+            let _ = writeln!(out, "{bucket_series} {total}");
+            // Exemplar-style linkage (comment form — the plain text
+            // exposition has no native exemplar syntax): the most recent
+            // trace id that landed in each bucket, so a slow bucket can be
+            // chased to one concrete distributed trace in the streams.
+            match exemplars.get(i) {
+                Some(&trace) if trace != 0 => {
+                    let _ = writeln!(out, "# exemplar {bucket_series} trace_id={trace}");
+                }
+                _ => {}
+            }
+        }
+        let sum = sum as f64 / H::PER_UNIT;
+        let _ = writeln!(out, "{} {sum}", series(&format!("{name}_sum"), base, ""));
+        let _ = writeln!(
+            out,
+            "{} {count}",
+            series(&format!("{name}_count"), base, "")
+        );
+    }
+}
+
+/// Renders any number of labeled snapshots as one Prometheus exposition,
+/// family-major: each family's `# HELP`/`# TYPE` once, then one group of
+/// sample lines per block — the text format requires all lines of a family
+/// to be contiguous, which concatenating per-snapshot expositions breaks.
+pub fn prom_text(blocks: &[PromBlock<'_>]) -> String {
+    // `model="a",tier="b"` — no surrounding braces, so histogram series
+    // can append their own `le` label.
+    let blocks: Vec<(String, &MetricsSnapshot)> = blocks
+        .iter()
+        .map(|(labels, snap)| {
+            let base: Vec<String> = labels
+                .iter()
+                .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
+                .collect();
+            (base.join(","), *snap)
+        })
+        .collect();
+    let mut out = String::with_capacity(2048 * blocks.len().max(1));
+    for row in SCALARS {
+        write_family_header(&mut out, row.prom, row.help, row.prom_type());
+        for (base, snap) in &blocks {
+            let name = series(row.prom, base, "");
+            let _ = writeln!(out, "{name} {}", row.prom_value(snap));
+        }
+    }
+    write_histogram_family(
+        &mut out,
+        &blocks,
+        "einet_queue_wait_seconds",
+        "Admission to dequeue.",
+        |s| &s.queue_wait,
+    );
+    write_histogram_family(
+        &mut out,
+        &blocks,
+        "einet_service_seconds",
+        "Dequeue to outcome.",
+        |s| &s.service,
+    );
+    // Batch occupancy: a histogram over dispatch sizes, not latencies.
+    write_histogram_family(
+        &mut out,
+        &blocks,
+        "einet_batch_size",
+        "Tasks coalesced per worker dispatch.",
+        |s| &s.batch,
+    );
+    for (name, help, value) in DERIVED_GAUGES {
+        write_family_header(&mut out, name, help, "gauge");
+        for (base, snap) in &blocks {
+            let _ = writeln!(out, "{} {}", series(name, base, ""), value(snap));
+        }
+    }
+    out
 }
 
 /// A background thread that periodically writes a [`ServeMetrics`] snapshot
@@ -1863,7 +1763,8 @@ mod tests {
             true,
             0,
         );
-        let text = m.snapshot().to_prom_text_labeled(&[("model", "alexnet")]);
+        let snap = m.snapshot();
+        let text = prom_text(&[(&[("model", "alexnet")], &snap)]);
         for needle in [
             "einet_tasks_submitted_total{model=\"alexnet\"} 1",
             "einet_queue_depth{model=\"alexnet\"} 0",
@@ -1880,21 +1781,82 @@ mod tests {
         // Unlabeled series never leak into a labeled exposition.
         assert!(!text.contains("einet_tasks_submitted_total 1"));
         // Quote characters in label values are escaped, not emitted raw.
-        let tricky = m.snapshot().to_prom_text_labeled(&[("model", "a\"b")]);
+        let tricky = prom_text(&[(&[("model", "a\"b")], &snap)]);
         assert!(tricky.contains("model=\"a\\\"b\""));
-        // Header suppression: a second block of the same family carries
-        // samples only.
-        let mut out = String::new();
-        let snap = m.snapshot();
-        snap.write_prom_into(&mut out, &[("model", "a")], true);
-        snap.write_prom_into(&mut out, &[("model", "b")], false);
-        assert_eq!(out.matches("# TYPE einet_queue_depth gauge").count(), 1);
-        assert!(out.contains("einet_queue_depth{model=\"a\"}"));
-        assert!(out.contains("einet_queue_depth{model=\"b\"}"));
+    }
+
+    /// Every line of the exposition that is a sample (not a comment),
+    /// reduced to its family: the metric name minus the histogram suffixes.
+    fn sample_families(text: &str) -> Vec<&str> {
+        text.lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| {
+                let name = l.split(['{', ' ']).next().expect("metric name");
+                ["_bucket", "_sum", "_count"]
+                    .iter()
+                    .find_map(|suffix| name.strip_suffix(suffix))
+                    .unwrap_or(name)
+            })
+            .collect()
     }
 
     #[test]
-    fn snapshots_merge_counter_by_counter() {
+    fn several_blocks_render_family_major() {
+        let m = ServeMetrics::new();
+        m.begin_admission();
+        m.commit_admission();
+        m.on_dequeued(Duration::from_micros(120), 77);
+        let (a, b) = (m.snapshot(), MetricsSnapshot::default());
+        let text = prom_text(&[
+            (&[("model", "a")], &a),
+            (&[("model", "b")], &b),
+            (&[("scope", "ingest")], &b),
+        ]);
+        // One header pair per family, however many blocks contribute to it.
+        let types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+        let mut unique = types.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(types.len(), unique.len(), "a # TYPE line repeats:\n{text}");
+        assert_eq!(
+            types.len(),
+            SCALARS.len() + 3 + DERIVED_GAUGES.len(),
+            "one family per scalar row, histogram and derived gauge"
+        );
+        // All sample lines of a family are contiguous: once the exposition
+        // moves on to the next family, the previous one never reappears.
+        let mut seen: Vec<&str> = Vec::new();
+        for family in sample_families(&text) {
+            if seen.last() != Some(&family) {
+                assert!(
+                    !seen.contains(&family),
+                    "family {family} is split by another family:\n{text}"
+                );
+                seen.push(family);
+            }
+        }
+        // Every block contributes to every family, in the order given.
+        let depth: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("einet_queue_depth{"))
+            .collect();
+        assert_eq!(
+            depth,
+            [
+                "einet_queue_depth{model=\"a\"} 0",
+                "einet_queue_depth{model=\"b\"} 0",
+                "einet_queue_depth{scope=\"ingest\"} 0",
+            ]
+        );
+        // Exemplar comments stay next to their bucket line.
+        assert!(text.contains(
+            "einet_queue_wait_seconds_bucket{model=\"a\",le=\"0.00025\"} 1\n\
+             # exemplar einet_queue_wait_seconds_bucket{model=\"a\",le=\"0.00025\"} trace_id=77\n"
+        ));
+    }
+
+    #[test]
+    fn snapshots_merge_bucket_by_bucket() {
         let a = ServeMetrics::new();
         a.begin_admission();
         a.commit_admission();
@@ -1924,11 +1886,8 @@ mod tests {
         b.on_batch(2);
         let (sa, sb) = (a.snapshot(), b.snapshot());
         let merged = MetricsSnapshot::merged([&sa, &sb]);
-        assert_eq!(merged.submitted, 3);
-        assert_eq!(merged.rejected, 1);
-        assert_eq!(merged.completed, 1);
-        assert_eq!(merged.deadline_expired, 1);
-        assert_eq!(merged.shed_expired_at_dequeue, 1);
+        // (Scalar by scalar, the merge rules are checked row by row in
+        // `every_scalar_row_round_trips_merges_and_is_exposed`.)
         assert_eq!(merged.finished(), 3);
         assert!(merged.reconciles());
         assert_eq!(merged.queue_wait.count, 3, "2 dequeues + 1 shed wait");
@@ -1939,7 +1898,6 @@ mod tests {
         assert_eq!(merged.service.count, 2);
         assert_eq!(merged.batch.sum, 3);
         assert_eq!(merged.window.finished, 3);
-        assert_eq!(merged.uptime_us, sa.uptime_us.max(sb.uptime_us));
         // Bucket-level addition, not just totals.
         for i in 0..NUM_BUCKETS {
             assert_eq!(
@@ -1948,7 +1906,7 @@ mod tests {
             );
         }
         // The identity element really is one.
-        let id = MetricsSnapshot::merged([&merged, &MetricsSnapshot::empty()]);
+        let id = MetricsSnapshot::merged([&merged, &MetricsSnapshot::default()]);
         assert_eq!(id, merged);
     }
 
@@ -1986,7 +1944,7 @@ mod tests {
     }
 
     #[test]
-    fn connection_gauges_round_trip_merge_and_expose() {
+    fn connection_gauges_follow_opens_and_closes() {
         let m = ServeMetrics::new();
         for _ in 0..3 {
             m.conn_opened();
@@ -1998,32 +1956,76 @@ mod tests {
         let snap = m.snapshot();
         assert_eq!(snap.open_connections, 2);
         assert_eq!(snap.inflight_requests, 1);
-        // JSON round-trip carries the gauges.
-        let parsed = MetricsSnapshot::from_json(&snap.to_json()).expect("round-trip parses");
-        assert_eq!(parsed, snap);
-        // Artifacts written before these gauges existed still parse: strip
-        // the fields and expect zeros.
-        let legacy = snap
-            .to_json()
-            .replace("\"open_connections\"", "\"legacy_oc\"")
-            .replace("\"inflight_requests\"", "\"legacy_ir\"");
-        let old = MetricsSnapshot::from_json(&legacy).expect("legacy artifact parses");
-        assert_eq!(old.open_connections, 0);
-        assert_eq!(old.inflight_requests, 0);
-        // Merge sums the gauges across registries.
-        let merged = MetricsSnapshot::merged([&snap, &snap]);
-        assert_eq!(merged.open_connections, 4);
-        assert_eq!(merged.inflight_requests, 2);
-        // The Prometheus exposition names them as server gauges.
-        let text = snap.to_prom_text();
-        for needle in [
-            "# TYPE einet_server_open_connections gauge",
-            "einet_server_open_connections 2",
-            "# TYPE einet_server_inflight_requests gauge",
-            "einet_server_inflight_requests 1",
-        ] {
-            assert!(text.contains(needle), "prom text missing {needle:?}");
+    }
+
+    /// A snapshot whose every scalar row holds a different value
+    /// (`base + 10 × row index`), histograms left empty.
+    fn distinct_scalars(base: u64) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::default();
+        for (i, row) in SCALARS.iter().enumerate() {
+            *(row.get_mut)(&mut snap) = base + 10 * i as u64;
         }
+        snap
+    }
+
+    #[test]
+    fn every_scalar_row_round_trips_merges_and_is_exposed() {
+        let (a, b) = (distinct_scalars(1_000_003), distinct_scalars(2_000_005));
+        let json = a.to_json();
+        assert_eq!(MetricsSnapshot::from_json(&json).as_ref(), Ok(&a));
+        let parsed = einet_trace::json::parse(&json).expect("valid JSON");
+        let merged = MetricsSnapshot::merged([&a, &b]);
+        let prom = a.to_prom_text();
+        for row in SCALARS {
+            let (va, vb) = ((row.get)(&a), (row.get)(&b));
+            // JSON: the row's key carries the row's value ...
+            assert_eq!(
+                parsed.get(row.field).and_then(JsonValue::as_u64),
+                Some(va),
+                "{} in JSON",
+                row.field
+            );
+            // ... and an artifact without the key parses exactly when the
+            // row says it may be missing, reading it as 0.
+            let aged = json.replacen(&format!("\"{}\":", row.field), "\"gone\":", 1);
+            match (row.json, MetricsSnapshot::from_json(&aged)) {
+                (Json::Defaulted, Ok(old)) => assert_eq!((row.get)(&old), 0),
+                (Json::Required, Err(e)) => assert!(e.contains(row.field), "{e}"),
+                (rule, got) => panic!("{}: {rule:?} but parse gave {got:?}", row.field),
+            }
+            // Merge: the row's rule.
+            let want = match row.merge {
+                Merge::Sum => va + vb,
+                Merge::Max => va.max(vb),
+            };
+            assert_eq!((row.get)(&merged), want, "{} merged", row.field);
+            // Exposition: one typed family with the row's sample.
+            let kind = row.prom_type();
+            assert_eq!(
+                prom.matches(&format!("# TYPE {} {kind}\n", row.prom))
+                    .count(),
+                1,
+                "{} family header",
+                row.prom
+            );
+            let sample = format!("\n{} {}\n", row.prom, row.prom_value(&a));
+            assert!(prom.contains(&sample), "missing {sample:?}:\n{prom}");
+        }
+        // Field names, JSON keys and Prometheus names are all unique.
+        for key in [|r: &ScalarRow| r.field, |r: &ScalarRow| r.prom] {
+            let mut names: Vec<&str> = SCALARS.iter().map(key).collect();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), SCALARS.len());
+        }
+        // The one scaled kind prints seconds, not microseconds.
+        let uptime = MetricsSnapshot {
+            uptime_us: 2_500_000,
+            ..MetricsSnapshot::default()
+        };
+        assert!(uptime
+            .to_prom_text()
+            .contains("\neinet_uptime_seconds 2.5\n"));
     }
 
     #[test]

@@ -9,15 +9,14 @@
 //!   to sibling replicas when the scheduled one is at capacity, and an
 //!   explicit [`RouteError::Shed`] only when *every* replica refuses —
 //!   backpressure surfaces as a typed response, never as a blocked caller.
-//! * [`Server`] is a dependency-free, line-oriented TCP/JSON ingest loop:
-//!   one JSON request per line in, one JSON response per line out, thread
-//!   per connection (see [`wire`] for the exact format). Queue-full and
-//!   expired-in-queue sheds map to 429-style responses; a worker panic to a
-//!   500; an unknown model to a 404.
-//! * [`ReactorServer`] is the readiness-driven alternative: every
-//!   connection multiplexed on **one** reactor thread behind an epoll shim
-//!   (portable poll(2) fallback, see `sys`), clients may pipeline requests
-//!   and responses return in completion order correlated by `id`.
+//! * [`ReactorServer`] is the one listener: a dependency-free,
+//!   line-oriented TCP/JSON ingest loop — one JSON request per line in, one
+//!   JSON response per line out (see [`wire`] for the exact format) — with
+//!   every connection multiplexed on **one** reactor thread behind an epoll
+//!   shim (portable poll(2) fallback, see `sys`). Clients may pipeline
+//!   requests; responses return in completion order correlated by `id`.
+//!   Queue-full and expired-in-queue sheds map to 429-style responses; a
+//!   worker panic to a 500; an unknown model to a 404.
 //! * [`ReplicaScaler`] closes the loop from the rolling-window SLO metrics
 //!   back to capacity: it grows a model's replica set when windowed SLO
 //!   attainment degrades or queues stay deep, and shrinks it back (with
@@ -32,7 +31,7 @@
 //! # Example
 //!
 //! ```
-//! use einet_server::{ModelRegistry, ModelSpec, Server};
+//! use einet_server::{ModelRegistry, ModelSpec};
 //! use einet_edge::{InferenceRequest, PoolConfig, StaticSource};
 //! use einet_models::{zoo, BranchSpec};
 //! use einet_core::ExitPlan;
@@ -60,10 +59,8 @@
 
 mod reactor;
 mod registry;
-mod server;
 mod sys;
 pub mod wire;
 
 pub use reactor::{ReactorConfig, ReactorServer};
 pub use registry::{ModelRegistry, ModelSpec, ReplicaScaler, RouteError, RouteStats, ScalerConfig};
-pub use server::Server;

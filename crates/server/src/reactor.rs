@@ -1,11 +1,12 @@
 //! The readiness-driven ingest front-end: one reactor thread, thousands of
 //! connections, multiplexed in-flight requests.
 //!
-//! Where [`crate::Server`] spends a thread per connection parked in
-//! `read_line` / `reply.recv()`, the reactor keeps **every** connection on
-//! a single thread behind an epoll/poll [`crate::sys::Poller`]:
+//! Instead of a thread per connection parked in `read_line` /
+//! `reply.recv()`, the reactor keeps **every** connection on a single
+//! thread behind an epoll/poll [`crate::sys::Poller`]:
 //!
-//! * non-blocking accept with a connection cap;
+//! * non-blocking accept with a connection cap, paused (not spun on) while
+//!   the process is out of file descriptors;
 //! * per-connection state machines — a read buffer framed on `\n`, a write
 //!   buffer flushed opportunistically and re-armed on `EPOLLOUT` only while
 //!   non-empty (backpressure: a connection whose write buffer is over the
@@ -96,11 +97,12 @@ struct Conn {
     last_activity: Instant,
 }
 
-/// A running readiness-driven front-end over a shared [`ModelRegistry`].
+/// A running readiness-driven front-end over a shared [`ModelRegistry`]:
+/// the workspace's one listener.
 ///
-/// Functionally equivalent to [`crate::Server`] — same wire format, same
-/// registry — but holds every connection on one reactor thread and allows
-/// clients to pipeline: responses to multiplexed requests return in
+/// One JSON request per line in, one JSON response per line out (see
+/// [`crate::wire`]). Every connection lives on one reactor thread and
+/// clients may pipeline: responses to multiplexed requests return in
 /// completion order, correlated by `id`.
 #[derive(Debug)]
 pub struct ReactorServer {
@@ -146,6 +148,7 @@ impl ReactorServer {
             gens: Vec::new(),
             free: Vec::new(),
             open: 0,
+            accept_paused: false,
             inflight_total: 0,
             wheel: Vec::new(),
             wheel_cursor: 0,
@@ -226,6 +229,11 @@ struct Reactor {
     gens: Vec<u32>,
     free: Vec<u32>,
     open: usize,
+    /// The listener is out of the poller: `accept` failed for a reason that
+    /// stays true while nothing changes (fd exhaustion), and a
+    /// level-triggered listener with a pending connection would otherwise
+    /// wake `wait` immediately, forever.
+    accept_paused: bool,
     /// Callbacks outstanding across all connections (including ones whose
     /// connection already died); drained to zero before shutdown returns.
     inflight_total: usize,
@@ -258,6 +266,11 @@ impl Reactor {
                 Duration::from_millis(250)
             };
             let _ = self.poller.wait(&mut events, Some(timeout));
+            if events.is_empty() {
+                // A quiet tick: whatever refused the last accept may have
+                // cleared on its own (another process released fds).
+                self.resume_accept();
+            }
             for &ev in &events {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(&tx),
@@ -272,6 +285,7 @@ impl Reactor {
                 // Stop accepting; the listener closes when the reactor
                 // returns. Connections live on to be drained.
                 let _ = self.poller.delete(self.listener.as_raw_fd());
+                self.accept_paused = false;
                 // Idle connections owe nothing: close them now.
                 self.close_drained_conns();
             }
@@ -348,8 +362,24 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
+                Err(_) => {
+                    // EMFILE/ENFILE and kin: the connection stays in the
+                    // backlog and the listener stays readable. Stop polling
+                    // it until a connection closes (an fd comes back) or a
+                    // wait times out.
+                    let _ = self.poller.delete(self.listener.as_raw_fd());
+                    self.accept_paused = true;
+                    break;
+                }
             }
+        }
+    }
+
+    /// Puts a paused listener back into the poller.
+    fn resume_accept(&mut self) {
+        if self.accept_paused {
+            let fd = self.listener.as_raw_fd();
+            self.accept_paused = self.poller.add(fd, TOKEN_LISTENER, Interest::READ).is_err();
         }
     }
 
@@ -617,6 +647,7 @@ impl Reactor {
             self.free.push(slot);
             self.open -= 1;
             self.metrics.conn_closed();
+            self.resume_accept();
             // `conn.inflight` callbacks are still outstanding; their
             // completions will arrive, decrement `inflight_total`, and be
             // dropped at the stale-token check.

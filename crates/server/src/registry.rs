@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use einet_edge::{
     CompletionFn, ExecutorPool, InferenceRequest, MetricsSnapshot, PlannerSource, PoolConfig,
-    PreemptionGate, SubmitError, TaskResult,
+    PreemptionGate, PromBlock, SubmitError, TaskResult,
 };
 use einet_models::MultiExitNet;
 use einet_trace::{self as trace, Args, Category};
@@ -205,7 +205,7 @@ impl ModelRegistry {
             scale_ups: AtomicU64::new(0),
             scale_downs: AtomicU64::new(0),
             spawned: AtomicU64::new(spec.replicas as u64),
-            retired: Mutex::new(MetricsSnapshot::empty()),
+            retired: Mutex::new(MetricsSnapshot::default()),
             template: net,
             make_source: Mutex::new(Box::new(make_source)),
             pool_cfg: spec.pool,
@@ -421,7 +421,7 @@ impl ModelRegistry {
 
     /// The merged snapshot across every model and replica — the fleet view.
     pub fn aggregate_snapshot(&self) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::empty();
+        let mut out = MetricsSnapshot::default();
         for m in &self.models {
             if let Some(snap) = self.model_snapshot(&m.name) {
                 out.merge(&snap);
@@ -431,15 +431,23 @@ impl ModelRegistry {
     }
 
     /// One Prometheus exposition for the whole registry: every serving
-    /// series labeled `model="<name>"` (headers emitted once per family),
-    /// plus registry-level routing, replica and scaling counters.
-    pub fn to_prom_text(&self) -> String {
+    /// series labeled `model="<name>"`, then `extra`'s blocks under their own
+    /// labels (the ingest front-end's gauges, say) — family by family, so
+    /// each family's samples stay contiguous under one header — plus
+    /// registry-level routing, replica and scaling counters.
+    pub fn to_prom_text(&self, extra: &[PromBlock<'_>]) -> String {
         use std::fmt::Write as _;
-        let mut out = String::with_capacity(4096 * self.models.len().max(1));
-        for (i, m) in self.models.iter().enumerate() {
-            let snap = self.model_snapshot(&m.name).expect("registered model");
-            snap.write_prom_into(&mut out, &[("model", m.name.as_str())], i == 0);
-        }
+        let models: Vec<([(&str, &str); 1], MetricsSnapshot)> = self
+            .models
+            .iter()
+            .map(|m| {
+                let snap = self.model_snapshot(&m.name).expect("registered model");
+                ([("model", m.name.as_str())], snap)
+            })
+            .collect();
+        let mut blocks: Vec<PromBlock<'_>> = models.iter().map(|(l, s)| (&l[..], s)).collect();
+        blocks.extend_from_slice(extra);
+        let mut out = einet_edge::prom_text(&blocks);
         let mut counter = |name: &str, help: &str, value: &dyn Fn(&ModelEntry) -> u64| {
             let _ = writeln!(out, "# HELP {name} {help}");
             let _ = writeln!(out, "# TYPE {name} counter");

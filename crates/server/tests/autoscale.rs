@@ -81,7 +81,7 @@ fn manual_scaling_keeps_routing_and_reconciliation_exact() {
     assert!(snap.reconciles(), "merged accounting stays exact");
 
     // Prometheus exposition reflects the scale events and live set.
-    let prom = registry.to_prom_text();
+    let prom = registry.to_prom_text(&[]);
     assert!(prom.contains("einet_scale_up_total{model=\"m\"} 2"));
     assert!(prom.contains("einet_scale_down_total{model=\"m\"} 2"));
     assert!(prom.contains("einet_replicas{model=\"m\"} 1"));

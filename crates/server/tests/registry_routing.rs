@@ -9,7 +9,7 @@ use std::time::Duration;
 use einet_core::ExitPlan;
 use einet_edge::{InferenceRequest, PoolConfig, StaticSource, TaskStatus};
 use einet_models::{zoo, BranchSpec};
-use einet_server::{ModelRegistry, ModelSpec, RouteError, Server};
+use einet_server::{ModelRegistry, ModelSpec, ReactorConfig, ReactorServer, RouteError};
 use einet_tensor::Tensor;
 use einet_trace::json;
 
@@ -163,10 +163,69 @@ fn saturating_one_model_does_not_touch_the_other_tenant() {
     assert!(bystander.reconciles());
 
     // The labeled exposition carries both tenants under distinct labels.
-    let prom = registry.to_prom_text();
+    let prom = registry.to_prom_text(&[]);
     assert!(prom.contains("einet_tasks_submitted_total{model=\"victim\"}"));
     assert!(prom.contains("einet_tasks_submitted_total{model=\"bystander\"} 10"));
     assert!(prom.contains("einet_route_shed_total{model=\"bystander\"} 0"));
+}
+
+#[test]
+fn prom_text_keeps_each_family_contiguous_across_models_and_ingest() {
+    let mut registry = ModelRegistry::new();
+    for (name, seed) in [("a", 11), ("b", 12)] {
+        registry.register(
+            name,
+            tiny_net(seed),
+            |_r, _w| full_plan_source(),
+            ModelSpec::default(),
+        );
+    }
+    for name in ["a", "b", "b"] {
+        let reply = registry.submit(name, request()).unwrap();
+        assert_eq!(reply.recv().unwrap().unwrap().status, TaskStatus::Completed);
+    }
+    let ingest = einet_edge::ServeMetrics::new();
+    ingest.conn_opened();
+    let ingest = ingest.snapshot();
+    let text = registry.to_prom_text(&[(&[("scope", "ingest")], &ingest)]);
+
+    // Each family is declared exactly once ...
+    let mut types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+    let declared = types.len();
+    types.sort_unstable();
+    types.dedup();
+    assert_eq!(types.len(), declared, "a # TYPE line repeats:\n{text}");
+    // ... and its samples (histogram series fold into their family) follow
+    // in one group: a family never resumes after another one started.
+    let mut seen: Vec<&str> = Vec::new();
+    for line in text.lines().filter(|l| !l.starts_with('#')) {
+        let name = line.split(['{', ' ']).next().unwrap();
+        let family = ["_bucket", "_sum", "_count"]
+            .iter()
+            .find_map(|suffix| name.strip_suffix(suffix))
+            .unwrap_or(name);
+        if seen.last() != Some(&family) {
+            assert!(!seen.contains(&family), "family {family} is split:\n{text}");
+            seen.push(family);
+        }
+    }
+    // Models first, in registration order, then the caller's block.
+    let completed: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("einet_tasks_completed_total"))
+        .collect();
+    assert_eq!(
+        completed,
+        [
+            "einet_tasks_completed_total{model=\"a\"} 1",
+            "einet_tasks_completed_total{model=\"b\"} 2",
+            "einet_tasks_completed_total{scope=\"ingest\"} 0",
+        ]
+    );
+    assert!(text.contains("einet_server_open_connections{scope=\"ingest\"} 1\n"));
+    // The registry's own families still close the exposition.
+    assert!(text.contains("einet_route_requests_total{model=\"b\"} 2\n"));
+    assert!(text.ends_with("einet_replicas{model=\"b\"} 1\n"));
 }
 
 #[test]
@@ -197,6 +256,15 @@ fn wait_until_drained_into_service(registry: &ModelRegistry, model: &str) {
         );
         std::thread::sleep(Duration::from_millis(1));
     }
+}
+
+fn start_server(registry: &Arc<ModelRegistry>) -> ReactorServer {
+    ReactorServer::start(
+        Arc::clone(registry),
+        "127.0.0.1:0",
+        ReactorConfig::default(),
+    )
+    .unwrap()
 }
 
 /// One line out, one line back.
@@ -230,7 +298,7 @@ fn tcp_round_trip_serves_responses_in_order() {
         },
     );
     let registry = Arc::new(registry);
-    let server = Server::start(Arc::clone(&registry), "127.0.0.1:0").unwrap();
+    let server = start_server(&registry);
 
     let stream = TcpStream::connect(server.local_addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
@@ -298,7 +366,7 @@ fn tcp_surfaces_queue_full_sheds_as_429_responses() {
         },
     );
     let registry = Arc::new(registry);
-    let server = Server::start(Arc::clone(&registry), "127.0.0.1:0").unwrap();
+    let server = start_server(&registry);
 
     // Connect first so only the write → submit window races against the
     // (~180ms) service time.
@@ -356,7 +424,7 @@ fn tcp_delivers_expired_in_queue_sheds_distinctly() {
         },
     );
     let registry = Arc::new(registry);
-    let server = Server::start(Arc::clone(&registry), "127.0.0.1:0").unwrap();
+    let server = start_server(&registry);
 
     let stream = TcpStream::connect(server.local_addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();

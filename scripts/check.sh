@@ -7,15 +7,17 @@
 # serving smoke that saturates the batched pool and fails on a
 # throughput/deadline-miss regression against the batch=1 baseline, then
 # drives the multi-tenant TCP front-end (bench_load + einet serve
-# --self-test, threaded and reactor back-ends) and fails unless shed
-# accounting, the M/D/1 queue-delay cross-check, the reactor
+# --self-test, both through the reactor, the one listener) and fails unless
+# shed accounting, the M/D/1 queue-delay cross-check, the reactor
 # connection-scaling gate, and the distributed two-stream trace
 # reconciliation (trace_check --distributed) all hold.
 #
 #   scripts/check.sh                # fmt --check + clippy -D warnings + tests
 #   scripts/check.sh --bench        # also run the gated bench runner (release build)
 #   scripts/check.sh --trace-smoke  # also run traced demos + trace_check
-#   scripts/check.sh --serve-smoke  # also run the gated serving benchmark
+#   scripts/check.sh --serve-smoke  # also run the gated serving benchmark, the
+#                                   # TCP load gate, the serve self-test and
+#                                   # the distributed-trace reconciliation
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -92,10 +94,10 @@ if [ "$run_serve_smoke" -eq 1 ]; then
     #
     # The run ends with the connection-scaling sweep: the gate fails unless
     # the reactor holds the top sweep level (5000 idle connections by
-    # default) without growing its thread count, and low-connection p99
-    # stays within tolerance of the thread-per-connection baseline. Each
-    # connection costs two fds (client + server share the process), so the
-    # sweep is sized down automatically when the fd rlimit is tight.
+    # default) without growing its thread count, and p99 there stays within
+    # tolerance of the lowest level's. Each connection costs two fds
+    # (client + server share the process), so the sweep is sized down
+    # automatically when the fd rlimit is tight.
     if [ "$(ulimit -n)" -lt 12000 ]; then
         export EINET_LOAD_SWEEP_CONNS="${EINET_LOAD_SWEEP_CONNS:-100,500}"
         echo "   (fd rlimit $(ulimit -n) < 12000: sweep capped at ${EINET_LOAD_SWEEP_CONNS})"
@@ -105,30 +107,22 @@ if [ "$run_serve_smoke" -eq 1 ]; then
     EINET_LOAD_RAMP="${EINET_LOAD_RAMP:-60}" \
     EINET_LOAD_TOL="${EINET_LOAD_TOL:-0.5}" \
         ./target/release/bench_load --gate
-    echo "== serve self-test (trace_check --serve reconciliation)"
+    echo "== serve self-test (multiplexing + drain + autoscale, trace_check --serve)"
+    # A loopback self-test through the listener: the sequential sweep with
+    # its shed accounting, pipelined multiplexing on one connection, and a
+    # shutdown-under-load drain that must answer every in-flight id. The
+    # three-artifact trace_check reconciles the trace against the metrics,
+    # the ingest spans against the routed+shed counters in the Prometheus
+    # text, and insists both front-end gauges drained to zero.
     rm -rf results/serve
     ./target/release/einet serve --models b-alexnet,flex-vgg16 --workers 1 \
-        --self-test 40 --trace-out results/serve/trace.json \
+        --autoscale --self-test 40 \
+        --trace-out results/serve/trace.json \
         --metrics-out results/serve/serve_metrics.json \
         --prom-out results/serve/metrics.prom
     ./target/release/trace_check --serve results/serve/trace.json \
-        results/serve/serve_metrics.json
-    echo "== reactor serve self-test (multiplexing + drain + autoscale)"
-    # Same loopback self-test through the epoll front-end, plus the
-    # reactor-only phases: pipelined multiplexing on one connection and a
-    # shutdown-under-load drain that must answer every in-flight id. The
-    # three-artifact trace_check additionally reconciles ingest spans
-    # against the routed+shed counters in the Prometheus text and insists
-    # both front-end gauges drained to zero.
-    rm -rf results/serve_reactor
-    ./target/release/einet serve --models b-alexnet,flex-vgg16 --workers 1 \
-        --reactor --autoscale --self-test 40 \
-        --trace-out results/serve_reactor/trace.json \
-        --metrics-out results/serve_reactor/serve_metrics.json \
-        --prom-out results/serve_reactor/metrics.prom
-    ./target/release/trace_check --serve results/serve_reactor/trace.json \
-        results/serve_reactor/serve_metrics.json \
-        results/serve_reactor/metrics.prom
+        results/serve/serve_metrics.json \
+        results/serve/metrics.prom
     echo "== distributed trace smoke (results/dist_trace/)"
     # A closed-loop traced run over loopback TCP: the clients stamp wire
     # trace contexts and stream their own spans; the server streams flows
