@@ -3,10 +3,19 @@
 //! the products the served zoo models actually run, times two served
 //! convolutions solo and stacked, and writes `results/bench_kernels.json`.
 //!
+//! It also times the serving planner on a 40-exit model against its
+//! references, on identical inputs: `SearchEngine::search` (resuming scans)
+//! against the same hybrid search over a closure calling `expectation()`,
+//! and `CsPredictor::infer` against a serial per-row loop. Plans, scores
+//! and predictions must be bit-identical to the references.
+//!
 //! `--gate` exits non-zero when stacking eight samples through the
 //! mid-depth `vgg16_fine` convolution does not cut its per-sample time by
-//! [`MIN_STACKED_GAIN`]: a convolution that lowers and multiplies sample by
-//! sample measures ≈ 1.0 there.
+//! [`MIN_STACKED_GAIN`] (a convolution that lowers and multiplies sample by
+//! sample measures ≈ 1.0 there), when the search is less than
+//! [`MIN_SEARCH_GAIN`] faster than its closure oracle, or when the
+//! predictor is less than [`MIN_PREDICT_GAIN`] faster than the serial loop.
+//! All three bounds are ratios on one host.
 //!
 //! Environment:
 //! * `EINET_BENCH_BUDGET_MS` — per-case measurement budget (default 300).
@@ -17,6 +26,10 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use einet_core::search::hybrid_search;
+use einet_core::{expectation, ExitPlan, SearchEngine, TimeDistribution};
+use einet_predictor::CsPredictor;
+use einet_profile::EtProfile;
 use einet_tensor::{mm, num_threads, set_num_threads, Conv2d, Layer, Mode, Tensor};
 use einet_trace::json::JsonWriter;
 
@@ -24,6 +37,13 @@ use einet_trace::json::JsonWriter;
 const MIN_STACKED_GAIN: f64 = 1.3;
 /// `--gate`: the [`StackedConv`] it applies to.
 const GATED_CONV: &str = "stacked_vgg16_fine_mid";
+/// `--gate`: least speed-up of `SearchEngine::search` over the closure
+/// oracle (a search that rescans every candidate measures ≈ 1.0).
+const MIN_SEARCH_GAIN: f64 = 2.0;
+/// `--gate`: least speed-up of `CsPredictor::infer` over the serial loop.
+const MIN_PREDICT_GAIN: f64 = 1.5;
+/// Exit count of the planner case (the paper's MSDNet).
+const PLANNER_EXITS: usize = 40;
 
 /// The seed's GEMM: i-k-j loop order with the data-dependent zero skip —
 /// the baseline every speedup in the report is measured against.
@@ -96,6 +116,123 @@ fn naive_conv_forward(
         }
     }
     out
+}
+
+/// The serial CS-Predictor forward: one row at a time, inputs ascending,
+/// zero inputs skipped in the first layer — the reference whose bits
+/// `CsPredictor::infer` must reproduce.
+fn naive_predict(params: &[Vec<f32>], input: &[f32]) -> Vec<f32> {
+    let layer = |w: &[f32], b: &[f32], x: &[f32], skip_zeros: bool| -> Vec<f32> {
+        (0..b.len())
+            .map(|r| {
+                let mut acc = b[r];
+                for (j, &xj) in x.iter().enumerate() {
+                    if !(skip_zeros && xj == 0.0) {
+                        acc += w[r * x.len() + j] * xj;
+                    }
+                }
+                acc
+            })
+            .collect()
+    };
+    let hidden: Vec<f32> = layer(&params[0], &params[1], input, true)
+        .into_iter()
+        .map(|z| z.max(0.0))
+        .collect();
+    layer(&params[2], &params[3], &hidden, false)
+}
+
+/// The serving planner's two calls timed against their references.
+struct PlannerCase {
+    search_us: f64,
+    search_oracle_us: f64,
+    predict_us: f64,
+    predict_naive_us: f64,
+}
+
+impl PlannerCase {
+    fn search_gain(&self) -> f64 {
+        self.search_oracle_us / self.search_us
+    }
+
+    fn predict_gain(&self) -> f64 {
+        self.predict_naive_us / self.predict_us
+    }
+}
+
+/// Times the replans of one request on a 40-exit model: the initial search
+/// and one at each quarter of the depth, with the history so far frozen
+/// (confidences rising with depth, as a trained network's do), and the
+/// predictor on the outputs of the first half. Panics if a result differs
+/// from its reference.
+fn time_planner() -> PlannerCase {
+    let n = PLANNER_EXITS;
+    let mut rng = SmallRng::seed_from_u64(40);
+    let conv: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..2.0)).collect();
+    let branch: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1..0.5)).collect();
+    let et = EtProfile::new(conv, branch).expect("planner profile valid");
+    let dist = TimeDistribution::Uniform;
+    let confs: Vec<f32> = (0..n)
+        .map(|i| 0.5 + 0.45 * i as f32 / n as f32 + rng.gen_range(-0.05..0.05))
+        .collect();
+    let history = ExitPlan::from_bools(&(0..n).map(|i| i % 3 != 1).collect::<Vec<_>>());
+
+    let mut predictor = CsPredictor::new(n, CsPredictor::default_hidden(n), 41);
+    let mut params: Vec<Vec<f32>> = Vec::new();
+    predictor.visit_params(&mut |p| params.push(p.value.as_slice().to_vec()));
+    let input: Vec<f32> = (0..n)
+        .map(|i| {
+            if i < n / 2 && history.get(i) {
+                confs[i]
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    let predicted = predictor.infer(&input);
+    let reference = naive_predict(&params, &input);
+    assert!(
+        predicted
+            .iter()
+            .zip(&reference)
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "CsPredictor::infer differs from the serial loop"
+    );
+
+    let engine = SearchEngine::default();
+    let oracle = |p: &ExitPlan| expectation(&et, &dist, p, &confs);
+    let frozen = [0, n / 4, n / 2, 3 * n / 4];
+    let search = || frozen.map(|f| engine.search(&et, &dist, &confs, f, Some(&history)));
+    let search_oracle = || {
+        frozen.map(|f| {
+            let base = ExitPlan::empty(n).with_frozen_prefix(&history, f);
+            let free: Vec<usize> = (f..n).collect();
+            hybrid_search(&base, &free, engine.enum_outputs(), &oracle)
+        })
+    };
+    for ((plan, score), (want_plan, want_score)) in search().into_iter().zip(search_oracle()) {
+        assert!(
+            plan == want_plan && score.to_bits() == want_score.to_bits(),
+            "SearchEngine::search differs from the closure oracle: \
+             {plan} {score} vs {want_plan} {want_score}"
+        );
+    }
+
+    let per_replan_us = |ms: f64| ms * 1e3 / frozen.len() as f64;
+    PlannerCase {
+        search_us: per_replan_us(time_median(|| {
+            std::hint::black_box(search());
+        })),
+        search_oracle_us: per_replan_us(time_median(|| {
+            std::hint::black_box(search_oracle());
+        })),
+        predict_us: time_median(|| {
+            std::hint::black_box(predictor.infer(std::hint::black_box(&input)));
+        }) * 1e3,
+        predict_naive_us: time_median(|| {
+            std::hint::black_box(naive_predict(&params, std::hint::black_box(&input)));
+        }) * 1e3,
+    }
 }
 
 fn budget() -> Duration {
@@ -271,6 +408,9 @@ fn main() {
         });
     }
 
+    eprintln!("timing the {PLANNER_EXITS}-exit planner (search, predictor) ...");
+    let planner = time_planner();
+
     let mut w = JsonWriter::new();
     w.begin_object();
     w.key("benchmark");
@@ -313,6 +453,23 @@ fn main() {
         w.end_object();
     }
     w.end_array();
+    w.key("planner");
+    w.begin_object();
+    w.key("exits");
+    w.number_u64(PLANNER_EXITS as u64);
+    w.key("search_us");
+    w.number_f64(planner.search_us);
+    w.key("search_oracle_us");
+    w.number_f64(planner.search_oracle_us);
+    w.key("search_gain");
+    w.number_f64(planner.search_gain());
+    w.key("predict_us");
+    w.number_f64(planner.predict_us);
+    w.key("predict_naive_us");
+    w.number_f64(planner.predict_naive_us);
+    w.key("predict_gain");
+    w.number_f64(planner.predict_gain());
+    w.end_object();
     w.end_object();
     let json = w.finish() + "\n";
 
@@ -346,6 +503,24 @@ fn main() {
         );
     }
     println!(
+        "\n{:<28} {:>12} {:>12} {:>9}",
+        "planner (40 exits)", "served us", "ref us", "gain"
+    );
+    println!(
+        "{:<28} {:>12.2} {:>12.2} {:>8.2}x",
+        "search (per replan)",
+        planner.search_us,
+        planner.search_oracle_us,
+        planner.search_gain()
+    );
+    println!(
+        "{:<28} {:>12.2} {:>12.2} {:>8.2}x",
+        "predict",
+        planner.predict_us,
+        planner.predict_naive_us,
+        planner.predict_gain()
+    );
+    println!(
         "\nwrote results/bench_kernels.json ({} threads)",
         num_threads()
     );
@@ -367,5 +542,19 @@ fn main() {
             "gate: {GATED_CONV} gain {:.2} >= {MIN_STACKED_GAIN}",
             gated.gain_b8()
         );
+        let planner_gates = [
+            ("search", planner.search_gain(), MIN_SEARCH_GAIN),
+            ("predict", planner.predict_gain(), MIN_PREDICT_GAIN),
+        ];
+        for (name, gain, min) in planner_gates {
+            if gain < min {
+                eprintln!(
+                    "gate: planner {name} is {gain:.2}x its reference, below {min}x: \
+                     the serving planner lost its speed-up"
+                );
+                std::process::exit(1);
+            }
+            println!("gate: planner {name} gain {gain:.2} >= {min}");
+        }
     }
 }

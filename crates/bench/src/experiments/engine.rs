@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use einet_core::eval::{plan_expected, plan_expected_calibrated, plan_ground_truth, EvalConfig};
 use einet_core::search::{greedy_augment, hybrid_search, random_search};
-use einet_core::{expectation, expectation_reference, ExitPlan, TimeDistribution};
+use einet_core::{expectation, expectation_reference, ExitPlan, SearchEngine, TimeDistribution};
 use einet_models::{zoo, BranchSpec, ModelKind};
 use einet_predictor::{ActivationCache, CsPredictor};
 use einet_profile::{measure_distribution, EtProfile};
@@ -129,10 +129,9 @@ pub fn table1_implementation_gap(_scale: &Scale) -> Report {
             time_batches(
                 Box::new({
                     let (et, confs, dist) = (et.clone(), confs.clone(), dist.clone());
-                    let free: Vec<usize> = (0..40).collect();
                     move || {
-                        let eval = |p: &ExitPlan| expectation(&et, &dist, p, &confs);
-                        std::hint::black_box(hybrid_search(&ExitPlan::empty(40), &free, 2, &eval));
+                        let engine = SearchEngine::new(2);
+                        std::hint::black_box(engine.search(&et, &dist, &confs, 0, None));
                     }
                 }),
                 5,
@@ -237,16 +236,15 @@ pub fn fig12_enum_budget(scale: &Scale) -> Report {
     let dist = TimeDistribution::Uniform;
     let confs = art.cs.exit_mean_confidence();
     let n = art.et.num_exits();
-    let free: Vec<usize> = (0..n).collect();
-    let eval = |p: &ExitPlan| expectation(&art.et, &dist, p, &confs);
+    let search = |m: usize| SearchEngine::new(m).search(&art.et, &dist, &confs, 0, None);
     // Warm-up so the first measured row is not polluted by cold caches.
-    let _ = hybrid_search(&ExitPlan::empty(n), &free, 2, &eval);
+    let _ = search(2);
     for m in [0_usize, 2, 4, 6, 8, 10, 12, 14, 16] {
         let t0 = Instant::now();
         let reps = 5;
         let mut result = (ExitPlan::empty(n), 0.0);
         for _ in 0..reps {
-            result = hybrid_search(&ExitPlan::empty(n), &free, m, &eval);
+            result = search(m);
         }
         let elapsed = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
         let (plan, score) = result;

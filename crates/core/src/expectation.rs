@@ -3,7 +3,7 @@
 use einet_profile::EtProfile;
 
 use crate::plan::ExitPlan;
-use crate::time_dist::TimeDistribution;
+use crate::time_dist::{uniform_mass, TimeDistribution};
 
 /// Scores exit plans by the expected quality of the result held at the
 /// (random) kill time.
@@ -72,7 +72,7 @@ impl<'a> AccuracyExpectation<'a> {
 /// The left-to-right scan state of the expectation kernel after consuming a
 /// prefix of the exits. The state after exit `d` depends only on the plan
 /// bits `< d`, which is what makes prefix states shareable across plans
-/// (see `search::ExpectationCache`).
+/// (see `search::objective` and `search::ExpectationCache`).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub(crate) struct ScanState {
     /// Elapsed execution time.
@@ -95,44 +95,215 @@ impl ScanState {
     };
 }
 
-/// Advances a scan state over exits `from..to`. Running this in pieces
-/// replays exactly the op sequence of a whole-plan scan, so resumed
-/// evaluations are bit-identical to fresh ones.
-pub(crate) fn scan_exits(
-    et: &EtProfile,
-    dist: &TimeDistribution,
-    plan: &ExitPlan,
-    confidences: &[f32],
-    mut s: ScanState,
-    from: usize,
-    to: usize,
-) -> ScanState {
-    let horizon = et.total_ms();
-    let conv = et.conv_ms();
-    let branch = et.branch_ms();
-    for i in from..to {
-        s.t += conv[i];
-        if plan.get(i) {
-            s.t += branch[i];
-            if s.c_last > 0.0 {
-                s.e += s.c_last * dist.mass_between(s.t_last, s.t, horizon);
-            }
-            s.c_last = f64::from(confidences[i]);
-            s.t_last = s.t;
-        }
-    }
-    s
+/// Scan states of plans that share every bit from some exit on, stored
+/// field by field so that one step over all of them vectorises. Each lane
+/// still performs exactly the ops of its own scan.
+pub(crate) struct Lanes {
+    t: [f64; ExitPlan::MAX_EXITS],
+    t_last: [f64; ExitPlan::MAX_EXITS],
+    c_last: [f64; ExitPlan::MAX_EXITS],
+    e: [f64; ExitPlan::MAX_EXITS],
+    len: usize,
 }
 
-/// Closes a fully-scanned state: the last output covers the remaining
-/// horizon.
-pub(crate) fn scan_close(et: &EtProfile, dist: &TimeDistribution, s: ScanState) -> f64 {
-    let horizon = et.total_ms();
-    if s.c_last > 0.0 {
-        s.e + s.c_last * dist.mass_between(s.t_last, horizon, horizon)
-    } else {
-        s.e
+impl Lanes {
+    pub(crate) fn new() -> Self {
+        Lanes {
+            t: [0.0; ExitPlan::MAX_EXITS],
+            t_last: [0.0; ExitPlan::MAX_EXITS],
+            c_last: [0.0; ExitPlan::MAX_EXITS],
+            e: [0.0; ExitPlan::MAX_EXITS],
+            len: 0,
+        }
     }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Adds a lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics when all [`ExitPlan::MAX_EXITS`] lanes are in use.
+    pub(crate) fn push(&mut self, s: ScanState) {
+        let l = self.len;
+        (self.t[l], self.t_last[l], self.c_last[l], self.e[l]) = (s.t, s.t_last, s.c_last, s.e);
+        self.len += 1;
+    }
+
+    pub(crate) fn get(&self, l: usize) -> ScanState {
+        assert!(l < self.len, "lane {l} out of range");
+        ScanState {
+            t: self.t[l],
+            t_last: self.t_last[l],
+            c_last: self.c_last[l],
+            e: self.e[l],
+        }
+    }
+}
+
+/// The inputs of one scan — profile, kill distribution, confidences and the
+/// horizon, read once — shared by every plan scored against them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Scan<'a> {
+    conv: &'a [f64],
+    branch: &'a [f64],
+    dist: &'a TimeDistribution,
+    confidences: &'a [f32],
+    horizon: f64,
+}
+
+impl<'a> Scan<'a> {
+    /// # Panics
+    ///
+    /// Panics if `confidences.len()` differs from the profile's exit count.
+    pub(crate) fn new(
+        et: &'a EtProfile,
+        dist: &'a TimeDistribution,
+        confidences: &'a [f32],
+    ) -> Self {
+        assert_eq!(
+            confidences.len(),
+            et.num_exits(),
+            "confidence/profile length mismatch"
+        );
+        Scan {
+            conv: et.conv_ms(),
+            branch: et.branch_ms(),
+            dist,
+            confidences,
+            horizon: et.total_ms(),
+        }
+    }
+
+    /// Number of exits.
+    pub(crate) fn len(&self) -> usize {
+        self.conv.len()
+    }
+
+    /// Consumes exit `i` under a plan that executes it.
+    #[inline]
+    pub(crate) fn execute(&self, mut s: ScanState, i: usize) -> ScanState {
+        s.t += self.conv[i];
+        s.t += self.branch[i];
+        if s.c_last > 0.0 {
+            s.e += s.c_last * self.dist.mass_between(s.t_last, s.t, self.horizon);
+        }
+        s.c_last = f64::from(self.confidences[i]);
+        s.t_last = s.t;
+        s
+    }
+
+    /// Advances lanes `..active` over exit `i`, executed (`run`) or skipped
+    /// by all of them.
+    pub(crate) fn step_lanes(&self, lanes: &mut Lanes, active: usize, i: usize, run: bool) {
+        assert!(active <= lanes.len, "lane {active} out of range");
+        if !run {
+            let conv = self.conv[i];
+            for t in &mut lanes.t[..active] {
+                *t += conv;
+            }
+            return;
+        }
+        match self.dist {
+            TimeDistribution::Uniform => {
+                self.execute_lanes(lanes, active, i, |a, b| uniform_mass(a, b, self.horizon));
+            }
+            dist => {
+                self.execute_lanes(lanes, active, i, |a, b| {
+                    dist.mass_between(a, b, self.horizon)
+                });
+            }
+        }
+    }
+
+    /// [`Scan::execute`] on lanes `..active`, with the kill distribution's
+    /// interval mass `mass(t0, t1)`. The mass is computed for every lane and
+    /// kept where `c_last > 0`, so the loop has no branch.
+    #[inline(always)]
+    fn execute_lanes(
+        &self,
+        lanes: &mut Lanes,
+        active: usize,
+        i: usize,
+        mass: impl Fn(f64, f64) -> f64,
+    ) {
+        let (conv, branch) = (self.conv[i], self.branch[i]);
+        let c = f64::from(self.confidences[i]);
+        let Lanes {
+            t,
+            t_last,
+            c_last,
+            e,
+            ..
+        } = lanes;
+        let lanes = t[..active]
+            .iter_mut()
+            .zip(&mut t_last[..active])
+            .zip(&mut c_last[..active])
+            .zip(&mut e[..active]);
+        for (((t, t_last), c_last), e) in lanes {
+            *t += conv;
+            *t += branch;
+            let m = mass(*t_last, *t);
+            *e = if *c_last > 0.0 { *e + *c_last * m } else { *e };
+            *c_last = c;
+            *t_last = *t;
+        }
+    }
+
+    /// Advances a state over exits `from..to` of the plan whose bit `i` is
+    /// `bits >> i & 1`. Running this in pieces replays exactly the op
+    /// sequence of a whole-plan scan, so resumed evaluations are
+    /// bit-identical to fresh ones. It visits the executed exits by bit
+    /// position; a skipped exit only adds its conv time.
+    pub(crate) fn exits(&self, bits: u64, mut s: ScanState, from: usize, to: usize) -> ScanState {
+        let mut at = from;
+        let mut run = bits & low_mask(to) & !low_mask(from);
+        while run != 0 {
+            let i = run.trailing_zeros() as usize;
+            for conv in &self.conv[at..i] {
+                s.t += conv;
+            }
+            s = self.execute(s, i);
+            at = i + 1;
+            run &= run - 1;
+        }
+        for conv in self.conv.get(at..to).unwrap_or_default() {
+            s.t += conv;
+        }
+        s
+    }
+
+    /// Closes a state: the last output covers the remaining horizon. Reads
+    /// `e`, `t_last` and `c_last` only — never `t` — so a scan may stop
+    /// after the plan's last executed exit: the skipped exits beyond it
+    /// only advance `t`.
+    pub(crate) fn close(&self, s: ScanState) -> f64 {
+        if s.c_last > 0.0 {
+            s.e + s.c_last * self.dist.mass_between(s.t_last, self.horizon, self.horizon)
+        } else {
+            s.e
+        }
+    }
+}
+
+/// The bits strictly below `depth`.
+#[inline]
+pub(crate) fn low_mask(depth: usize) -> u64 {
+    if depth >= 64 {
+        u64::MAX
+    } else {
+        (1_u64 << depth) - 1
+    }
+}
+
+/// One past the deepest executed exit of `bits` (0 for an empty plan): the
+/// end of the part of a scan that [`Scan::close`] can observe.
+#[inline]
+pub(crate) fn scan_end(bits: u64) -> usize {
+    64 - bits.leading_zeros() as usize
 }
 
 /// The optimized accuracy-expectation kernel: one pass over the exits, no
@@ -149,9 +320,8 @@ pub fn expectation(
 ) -> f64 {
     let n = et.num_exits();
     assert_eq!(plan.len(), n, "plan/profile length mismatch");
-    assert_eq!(confidences.len(), n, "confidence/profile length mismatch");
-    let s = scan_exits(et, dist, plan, confidences, ScanState::START, 0, n);
-    scan_close(et, dist, s)
+    let scan = Scan::new(et, dist, confidences);
+    scan.close(scan.exits(plan.bits(), ScanState::START, 0, n))
 }
 
 /// A deliberately naive reference implementation of Algorithm 1 that builds
@@ -298,6 +468,52 @@ mod tests {
                     (fast - slow).abs() < 1e-9,
                     "plan {plan} dist {dist:?}: {fast} vs {slow}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn scan_is_bitwise_the_serial_per_exit_loop() {
+        use rand::{Rng, SeedableRng};
+        // Algorithm 1 written as one branchy pass over every exit.
+        fn serial(et: &EtProfile, dist: &TimeDistribution, plan: &ExitPlan, c: &[f32]) -> f64 {
+            let horizon = et.conv_ms().iter().sum::<f64>() + et.branch_ms().iter().sum::<f64>();
+            let (mut t, mut t_last, mut c_last, mut e) = (0.0, 0.0, 0.0, 0.0);
+            let exits = et.conv_ms().iter().zip(et.branch_ms()).zip(c);
+            for (i, ((&conv, &branch), &conf)) in exits.enumerate() {
+                t += conv;
+                if plan.get(i) {
+                    t += branch;
+                    if c_last > 0.0 {
+                        e += c_last * dist.mass_between(t_last, t, horizon);
+                    }
+                    c_last = f64::from(conf);
+                    t_last = t;
+                }
+            }
+            if c_last > 0.0 {
+                e += c_last * dist.mass_between(t_last, horizon, horizon);
+            }
+            e
+        }
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5CA1);
+        for n in [1, 2, 9, 40, 63, 64] {
+            let conv: Vec<f64> = (0..n).map(|_| rng.gen_range(0.05..3.0)).collect();
+            let branch: Vec<f64> = (0..n).map(|_| rng.gen_range(0.01..1.0)).collect();
+            let et = EtProfile::new(conv, branch).unwrap();
+            let confs: Vec<f32> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
+            for dist in [
+                TimeDistribution::Uniform,
+                TimeDistribution::gaussian(0.6),
+                TimeDistribution::piecewise(vec![2.0, 1.0, 3.0]),
+            ] {
+                for _ in 0..50 {
+                    let bools: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.4)).collect();
+                    let plan = ExitPlan::from_bools(&bools);
+                    let want = serial(&et, &dist, &plan, &confs);
+                    let got = expectation(&et, &dist, &plan, &confs);
+                    assert_eq!(got.to_bits(), want.to_bits(), "n={n} plan {plan}");
+                }
             }
         }
     }

@@ -1,7 +1,7 @@
 //! A prefix-expectation memo for plan search.
 //!
 //! Every plan score is a left-to-right scan over the exits
-//! (`expectation::scan_exits`), and the scan state after depth `d` depends
+//! (`expectation::Scan`), and the scan state after depth `d` depends
 //! only on the plan bits `< d`. Search evaluates thousands of plans per
 //! re-plan step that share long prefixes — the hybrid search's greedy stage
 //! holds the first `m` bits fixed while toggling deeper ones — so the memo
@@ -29,7 +29,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use einet_profile::EtProfile;
 
-use crate::expectation::{scan_close, scan_exits, ScanState};
+use crate::expectation::{Scan, ScanState};
 use crate::plan::ExitPlan;
 use crate::time_dist::TimeDistribution;
 
@@ -154,7 +154,7 @@ impl ExpectationCache {
     ) -> f64 {
         let n = et.num_exits();
         assert_eq!(plan.len(), n, "plan/profile length mismatch");
-        assert_eq!(confidences.len(), n, "confidence/profile length mismatch");
+        let scan = Scan::new(et, dist, confidences);
         let bits = plan.bits();
         // Deepest checkpoint depth first.
         let mut depth = (n / CHECKPOINT_EVERY) * CHECKPOINT_EVERY;
@@ -179,14 +179,13 @@ impl ExpectationCache {
         let mut at = depth;
         while at + CHECKPOINT_EVERY <= n {
             let next = at + CHECKPOINT_EVERY;
-            state = scan_exits(et, dist, plan, confidences, state, at, next);
+            state = scan.exits(bits, state, at, next);
             self.states
                 .entry((next as u32, prefix_bits(bits, next)))
                 .or_insert(state);
             at = next;
         }
-        state = scan_exits(et, dist, plan, confidences, state, at, n);
-        scan_close(et, dist, state)
+        scan.close(scan.exits(bits, state, at, n))
     }
 }
 

@@ -1,6 +1,7 @@
 //! Exhaustive enumeration over bounded-output plans.
 
 use crate::plan::ExitPlan;
+use crate::search::PlanObjective;
 
 /// Enumerates every plan obtained by executing **at most** `max_outputs` of
 /// the `free` positions on top of `base`, returning the best plan and score.
@@ -154,7 +155,7 @@ mod tests {
 pub fn enumerate_prefix(
     base: &ExitPlan,
     positions: &[usize],
-    eval: &dyn Fn(&ExitPlan) -> f64,
+    eval: &dyn PlanObjective,
 ) -> (ExitPlan, f64) {
     assert!(
         positions.len() <= 20,
@@ -171,7 +172,7 @@ pub fn enumerate_prefix(
         for (k, &i) in positions.iter().enumerate() {
             plan.set(i, (bits >> k) & 1 == 1);
         }
-        let score = eval(&plan);
+        let score = eval.score(&plan);
         if score > best_score {
             best_score = score;
             best_plan = plan;

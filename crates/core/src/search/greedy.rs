@@ -1,6 +1,7 @@
 //! Greedy plan augmentation.
 
 use crate::plan::ExitPlan;
+use crate::search::PlanObjective;
 
 /// Starting from `start`, repeatedly sets the single remaining free bit that
 /// yields the highest expectation, until every free bit is set; returns the
@@ -18,7 +19,7 @@ pub fn greedy_augment(
     start: &ExitPlan,
     start_score: f64,
     free: &[usize],
-    eval: &dyn Fn(&ExitPlan) -> f64,
+    eval: &dyn PlanObjective,
 ) -> (ExitPlan, f64) {
     for &i in free {
         assert!(i < start.len(), "free index {i} out of range");
@@ -27,21 +28,20 @@ pub fn greedy_augment(
     let mut current = *start;
     let mut best_plan = *start;
     let mut best_score = start_score;
+    let mut scores = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
-        let mut round_best: Option<(usize, ExitPlan, f64)> = None;
-        for (slot, &i) in remaining.iter().enumerate() {
-            let candidate = current.with(i, true);
-            let score = eval(&candidate);
-            if round_best.as_ref().is_none_or(|&(_, _, best)| score > best) {
-                round_best = Some((slot, candidate, score));
+        eval.score_additions(&current, &remaining, &mut scores);
+        let mut round_best: Option<(usize, f64)> = None;
+        for (slot, &score) in scores.iter().enumerate() {
+            if round_best.is_none_or(|(_, best)| score > best) {
+                round_best = Some((slot, score));
             }
         }
-        let (slot, plan, score) = round_best.expect("remaining is non-empty");
-        remaining.swap_remove(slot);
-        current = plan;
+        let (slot, score) = round_best.expect("remaining is non-empty");
+        current = current.with(remaining.swap_remove(slot), true);
         if score > best_score {
             best_score = score;
-            best_plan = plan;
+            best_plan = current;
         }
     }
     (best_plan, best_score)
@@ -103,7 +103,7 @@ mod tests {
     #[test]
     fn empty_free_set_is_identity() {
         let start = ExitPlan::from_indices(3, &[0]);
-        let (plan, score) = greedy_augment(&start, 42.0, &[], &|_| 0.0);
+        let (plan, score) = greedy_augment(&start, 42.0, &[], &|_: &ExitPlan| 0.0);
         assert_eq!(plan, start);
         assert_eq!(score, 42.0);
     }

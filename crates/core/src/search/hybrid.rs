@@ -7,6 +7,26 @@ use einet_trace::{self as trace, Args, Category};
 use crate::plan::ExitPlan;
 use crate::search::enumerate::enumerate_prefix;
 use crate::search::greedy::greedy_augment;
+use crate::search::PlanObjective;
+
+/// Counts the candidates an objective scores, for the `candidates_scored`
+/// trace counter.
+struct Counted<'a> {
+    inner: &'a dyn PlanObjective,
+    scored: Cell<u64>,
+}
+
+impl PlanObjective for Counted<'_> {
+    fn score(&self, plan: &ExitPlan) -> f64 {
+        self.scored.set(self.scored.get() + 1);
+        self.inner.score(plan)
+    }
+
+    fn score_additions(&self, current: &ExitPlan, candidates: &[usize], scores: &mut Vec<f64>) {
+        self.scored.set(self.scored.get() + candidates.len() as u64);
+        self.inner.score_additions(current, candidates, scores);
+    }
+}
 
 /// Two-stage search (Algorithm 2): exhaustively enumerate all `2^m`
 /// execute/skip assignments of the **first `m` free branches** (guaranteed
@@ -18,6 +38,9 @@ use crate::search::greedy::greedy_augment;
 /// expectation evaluations instead of `2^n` — sub-millisecond at the
 /// paper's `m = 4..5` sweet spot (Fig. 12).
 ///
+/// Each stage is a `search` trace span, and the candidates scored are a
+/// `candidates_scored` counter; both are no-ops while tracing is off.
+///
 /// # Panics
 ///
 /// Panics if any free index is out of range.
@@ -25,24 +48,15 @@ pub fn hybrid_search(
     base: &ExitPlan,
     free: &[usize],
     enum_outputs: usize,
-    eval: &dyn Fn(&ExitPlan) -> f64,
+    eval: &dyn PlanObjective,
 ) -> (ExitPlan, f64) {
     let m = enum_outputs.min(free.len());
-    if !trace::enabled() {
-        // Stage 1: exhaustive enumeration over the first m free branches
-        // (Algorithm 2, lines 1-2).
-        let (enum_plan, enum_score) = enumerate_prefix(base, &free[..m], eval);
-        // Stage 2: greedy over the remaining branches from the enumeration
-        // optimum (lines 3-11).
-        return greedy_augment(&enum_plan, enum_score, &free[m..], eval);
-    }
-    // Traced variant of the same two stages: one span per stage plus a
-    // counter of plans scored, with the eval wrapped to count candidates.
-    let scored = Cell::new(0_u64);
-    let counted = |p: &ExitPlan| {
-        scored.set(scored.get() + 1);
-        eval(p)
+    let counted = Counted {
+        inner: eval,
+        scored: Cell::new(0),
     };
+    // Stage 1: exhaustive enumeration over the first m free branches
+    // (Algorithm 2, lines 1-2).
     let (enum_plan, enum_score) = {
         let _s = trace::span_args(
             Category::Search,
@@ -51,6 +65,8 @@ pub fn hybrid_search(
         );
         enumerate_prefix(base, &free[..m], &counted)
     };
+    // Stage 2: greedy over the remaining branches from the enumeration
+    // optimum (lines 3-11).
     let result = {
         let _s = trace::span_args(
             Category::Search,
@@ -59,7 +75,7 @@ pub fn hybrid_search(
         );
         greedy_augment(&enum_plan, enum_score, &free[m..], &counted)
     };
-    trace::counter(Category::Search, "candidates_scored", scored.get());
+    trace::counter(Category::Search, "candidates_scored", counted.scored.get());
     result
 }
 

@@ -5,28 +5,33 @@
 //! greedy augmentation over the rest, bringing the cost to
 //! `2^m + O(n²)` expectation evaluations while staying near-optimal.
 //!
-//! All searchers operate through a plan-scoring closure so the same code
+//! All searchers operate through a plan-scoring objective ([`PlanObjective`],
+//! implemented by any `Fn(&ExitPlan) -> f64` closure) so the same code
 //! serves offline planning (average profiles), online replanning (frozen
 //! history prefix + predicted future confidences), and ground-truth studies.
+//! [`SearchEngine::search`] scores through a resuming expectation objective
+//! that shares scan prefixes between candidates (`objective.rs`).
 
 mod cache;
 mod enumerate;
 mod greedy;
 mod hybrid;
+mod objective;
 mod random;
 
 pub use cache::{CacheStats, ExpectationCache};
 pub use enumerate::{enumerate_best, enumerate_prefix};
 pub use greedy::greedy_augment;
 pub use hybrid::hybrid_search;
+pub use objective::PlanObjective;
 pub use random::random_search;
 
 use std::cell::RefCell;
 
 use einet_profile::EtProfile;
 
-use crate::expectation::expectation;
 use crate::plan::ExitPlan;
+use crate::search::objective::ExpectationObjective;
 use crate::time_dist::TimeDistribution;
 
 /// The online Search Engine of EINet: hybrid search configured with the
@@ -90,23 +95,9 @@ impl SearchEngine {
         history: Option<&ExitPlan>,
     ) -> (ExitPlan, f64) {
         let n = et.num_exits();
-        assert!(frozen_prefix <= n, "prefix out of range");
-        let base = match history {
-            Some(h) => {
-                assert_eq!(h.len(), n, "history length mismatch");
-                let mut b = ExitPlan::empty(n);
-                for i in 0..frozen_prefix {
-                    b.set(i, h.get(i));
-                }
-                b
-            }
-            None => {
-                assert_eq!(frozen_prefix, 0, "frozen prefix requires history");
-                ExitPlan::empty(n)
-            }
-        };
+        let base = frozen_base(n, frozen_prefix, history);
         let free: Vec<usize> = (frozen_prefix..n).collect();
-        let eval = |p: &ExitPlan| expectation(et, dist, p, confidences);
+        let eval = ExpectationObjective::new(et, dist, confidences, &base, frozen_prefix);
         hybrid_search(&base, &free, self.enum_outputs, &eval)
     }
 
@@ -133,21 +124,7 @@ impl SearchEngine {
         cache: &mut ExpectationCache,
     ) -> (ExitPlan, f64) {
         let n = et.num_exits();
-        assert!(frozen_prefix <= n, "prefix out of range");
-        let base = match history {
-            Some(h) => {
-                assert_eq!(h.len(), n, "history length mismatch");
-                let mut b = ExitPlan::empty(n);
-                for i in 0..frozen_prefix {
-                    b.set(i, h.get(i));
-                }
-                b
-            }
-            None => {
-                assert_eq!(frozen_prefix, 0, "frozen prefix requires history");
-                ExitPlan::empty(n)
-            }
-        };
+        let base = frozen_base(n, frozen_prefix, history);
         cache.begin_step();
         let stats_before = cache.stats();
         let free: Vec<usize> = (frozen_prefix..n).collect();
@@ -171,6 +148,22 @@ impl SearchEngine {
     }
 }
 
+/// The plan a search starts from: `history`'s first `frozen_prefix` bits,
+/// everything deeper clear.
+fn frozen_base(n: usize, frozen_prefix: usize, history: Option<&ExitPlan>) -> ExitPlan {
+    assert!(frozen_prefix <= n, "prefix out of range");
+    match history {
+        Some(h) => {
+            assert_eq!(h.len(), n, "history length mismatch");
+            ExitPlan::empty(n).with_frozen_prefix(h, frozen_prefix)
+        }
+        None => {
+            assert_eq!(frozen_prefix, 0, "frozen prefix requires history");
+            ExitPlan::empty(n)
+        }
+    }
+}
+
 impl Default for SearchEngine {
     /// The Fig. 12 sweet spot: enumerate the first four branches.
     fn default() -> Self {
@@ -181,6 +174,7 @@ impl Default for SearchEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expectation::expectation;
 
     fn setup() -> (EtProfile, TimeDistribution, Vec<f32>) {
         let et = EtProfile::new(

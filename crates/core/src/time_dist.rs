@@ -75,7 +75,7 @@ impl TimeDistribution {
             return 0.0;
         }
         match self {
-            TimeDistribution::Uniform => (b - a) / horizon,
+            TimeDistribution::Uniform => uniform_mass(a, b, horizon),
             TimeDistribution::Gaussian {
                 mean_frac,
                 sigma_frac,
@@ -153,6 +153,20 @@ impl TimeDistribution {
             TimeDistribution::Gaussian { sigma_frac, .. } => format!("gauss-s{sigma_frac}"),
             TimeDistribution::Piecewise { weights } => format!("piecewise-{}", weights.len()),
         }
+    }
+}
+
+/// [`TimeDistribution::mass_between`] for [`TimeDistribution::Uniform`],
+/// without the argument checks: small enough that a loop over many
+/// intervals inlines it and vectorises.
+#[inline]
+pub(crate) fn uniform_mass(t0: f64, t1: f64, horizon: f64) -> f64 {
+    let a = t0.clamp(0.0, horizon);
+    let b = t1.clamp(0.0, horizon);
+    if b <= a {
+        0.0
+    } else {
+        (b - a) / horizon
     }
 }
 

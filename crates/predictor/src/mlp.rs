@@ -81,35 +81,30 @@ impl CsPredictor {
     /// Panics if `input.len() != num_exits`.
     pub fn infer(&self, input: &[f32]) -> Vec<f32> {
         assert_eq!(input.len(), self.num_exits, "input width mismatch");
-        let w1 = self.l1.weight().as_slice();
-        let b1 = self.l1.bias().as_slice();
         let mut hidden = vec![0.0_f32; self.hidden];
-        for (h, hv) in hidden.iter_mut().enumerate() {
-            let row = &w1[h * self.num_exits..(h + 1) * self.num_exits];
-            let mut acc = b1[h];
-            for (j, &x) in input.iter().enumerate() {
-                if x != 0.0 {
-                    acc += row[j] * x;
-                }
-            }
-            *hv = acc.max(0.0);
+        affine(
+            self.l1.weight().as_slice(),
+            self.l1.bias().as_slice(),
+            input,
+            Inputs::SkipZeros,
+            &mut hidden,
+        );
+        for h in &mut hidden {
+            *h = h.max(0.0);
         }
         self.output_from_hidden(&hidden)
     }
 
     /// Computes the output layer from activated hidden values.
     pub(crate) fn output_from_hidden(&self, hidden: &[f32]) -> Vec<f32> {
-        let w2 = self.l2.weight().as_slice();
-        let b2 = self.l2.bias().as_slice();
         let mut out = vec![0.0_f32; self.num_exits];
-        for (o, ov) in out.iter_mut().enumerate() {
-            let row = &w2[o * self.hidden..(o + 1) * self.hidden];
-            let mut acc = b2[o];
-            for (h, &hv) in hidden.iter().enumerate() {
-                acc += row[h] * hv;
-            }
-            *ov = acc;
-        }
+        affine(
+            self.l2.weight().as_slice(),
+            self.l2.bias().as_slice(),
+            hidden,
+            Inputs::All,
+            &mut out,
+        );
         out
     }
 
@@ -140,6 +135,72 @@ impl CsPredictor {
     /// Borrow of the input layer (used by the [`crate::ActivationCache`]).
     pub(crate) fn input_layer(&self) -> &Linear {
         &self.l1
+    }
+}
+
+/// Which inputs [`affine`] accumulates.
+#[derive(Clone, Copy, PartialEq)]
+enum Inputs {
+    /// Every input, zeros included (adding `w·0` can flip a `-0.0` sum).
+    All,
+    /// Non-zero inputs only: an unexecuted exit contributes nothing.
+    SkipZeros,
+}
+
+/// Rows accumulated side by side: independent dependency chains, so the
+/// adds of one row overlap the latency of the others.
+const LANES: usize = 8;
+
+/// `out[r] = bias[r] + Σⱼ weight[r][j]·x[j]`, summed for each row exactly as
+/// a serial loop would — bias first, then `j` ascending — so results are
+/// bit-identical to it. Rows run [`LANES`] at a time over tiles of [`LANES`]
+/// inputs; a tile loads each row's weights once and keeps a skipped input's
+/// sum out by selection rather than by branch, so it vectorises across rows.
+fn affine(weight: &[f32], bias: &[f32], x: &[f32], inputs: Inputs, out: &mut [f32]) {
+    let width = x.len();
+    assert_eq!(weight.len(), out.len() * width, "weight shape mismatch");
+    assert_eq!(bias.len(), out.len(), "bias shape mismatch");
+    let skip = inputs == Inputs::SkipZeros;
+    let tiled = width - width % LANES;
+    let mut rows = weight.chunks_exact(width);
+    let mut blocks = out.chunks_exact_mut(LANES);
+    for (block, b) in (&mut blocks).zip(bias.chunks_exact(LANES)) {
+        let r: [&[f32]; LANES] = std::array::from_fn(|_| rows.next().expect("row"));
+        let mut acc: [f32; LANES] = b.try_into().expect("lane block");
+        for j0 in (0..tiled).step_by(LANES) {
+            let xs: &[f32; LANES] = x[j0..j0 + LANES].try_into().expect("tile");
+            let tile: [&[f32; LANES]; LANES] =
+                std::array::from_fn(|k| r[k][j0..j0 + LANES].try_into().expect("tile"));
+            for (jj, &xj) in xs.iter().enumerate() {
+                for (a, w) in acc.iter_mut().zip(&tile) {
+                    let sum = *a + w[jj] * xj;
+                    *a = if skip && xj == 0.0 { *a } else { sum };
+                }
+            }
+        }
+        for j in tiled..width {
+            let xj = x[j];
+            if skip && xj == 0.0 {
+                continue;
+            }
+            for (a, row) in acc.iter_mut().zip(&r) {
+                *a += row[j] * xj;
+            }
+        }
+        block.copy_from_slice(&acc);
+    }
+    let tail = blocks.into_remainder();
+    let done = bias.len() - tail.len();
+    for (r, o) in (done..).zip(tail) {
+        let row = &weight[r * width..(r + 1) * width];
+        let mut acc = bias[r];
+        for (&w, &xj) in row.iter().zip(x) {
+            if skip && xj == 0.0 {
+                continue;
+            }
+            acc += w * xj;
+        }
+        *o = acc;
     }
 }
 

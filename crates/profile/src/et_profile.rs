@@ -28,6 +28,9 @@ use crate::platform::EdgePlatform;
 pub struct EtProfile {
     conv_ms: Vec<f64>,
     branch_ms: Vec<f64>,
+    /// `Σ conv_ms + Σ branch_ms`, fixed at construction: the planner reads
+    /// the horizon on every scored plan.
+    total_ms: f64,
 }
 
 impl EtProfile {
@@ -52,7 +55,18 @@ impl EtProfile {
                 "profiled times must be positive and finite".into(),
             ));
         }
-        Ok(EtProfile { conv_ms, branch_ms })
+        Ok(EtProfile::from_parts(conv_ms, branch_ms))
+    }
+
+    /// The one place a profile is assembled, so the stored horizon always
+    /// matches the vectors.
+    fn from_parts(conv_ms: Vec<f64>, branch_ms: Vec<f64>) -> Self {
+        let total_ms = conv_ms.iter().sum::<f64>() + branch_ms.iter().sum::<f64>();
+        EtProfile {
+            conv_ms,
+            branch_ms,
+            total_ms,
+        }
     }
 
     /// Number of exits covered by the profile.
@@ -75,7 +89,7 @@ impl EtProfile {
     /// the upper bound of the unpredictable-exit time draw in the
     /// evaluation.
     pub fn total_ms(&self) -> f64 {
-        self.conv_ms.iter().sum::<f64>() + self.branch_ms.iter().sum::<f64>()
+        self.total_ms
     }
 
     /// Time to reach (and fully execute, branch included if `execute[i]`)
@@ -109,7 +123,7 @@ impl EtProfile {
             conv_ms.push(platform.ms_for_flops(conv_flops) + platform.overhead_ms());
             branch_ms.push(platform.ms_for_flops(branch_flops) + platform.overhead_ms());
         }
-        EtProfile { conv_ms, branch_ms }
+        EtProfile::from_parts(conv_ms, branch_ms)
     }
 
     /// Measures wall-clock per-block times on this host by running `reps`
@@ -139,7 +153,7 @@ impl EtProfile {
         for t in conv_ms.iter_mut().chain(branch_ms.iter_mut()) {
             *t = (*t * inv).max(1e-6);
         }
-        EtProfile { conv_ms, branch_ms }
+        EtProfile::from_parts(conv_ms, branch_ms)
     }
 }
 
@@ -191,6 +205,20 @@ mod tests {
         assert_eq!(et.total_ms(), 7.5);
         assert_eq!(et.plan_time_ms(&[false, false, false]), 6.0);
         assert_eq!(et.plan_time_ms(&[true, false, true]), 7.0);
+    }
+
+    #[test]
+    fn stored_total_is_bitwise_the_summed_horizon() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x707);
+        for _ in 0..500 {
+            let n = rng.gen_range(1..=64);
+            let conv: Vec<f64> = (0..n).map(|_| rng.gen_range(1e-4..5.0)).collect();
+            let branch: Vec<f64> = (0..n).map(|_| rng.gen_range(1e-4..2.0)).collect();
+            let summed = conv.iter().sum::<f64>() + branch.iter().sum::<f64>();
+            let et = EtProfile::new(conv, branch).unwrap();
+            assert_eq!(et.total_ms().to_bits(), summed.to_bits());
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo gate: formatting, lints, tests — and optionally the kernel speedup
 # runner that refreshes results/bench_kernels.json and fails unless a
-# stacked convolution amortises over its batch, the tracing smoke
+# stacked convolution amortises over its batch and the serving planner
+# keeps its speed-up over its references, the tracing smoke
 # that records a tiny traced demo (one-shot drain AND continuous streaming)
 # and validates the artifacts with trace_check + einet report, or the
 # serving smoke that saturates the batched pool and fails on a
@@ -50,7 +51,10 @@ if [ "$run_bench" -eq 1 ]; then
     cargo build --release -p einet-bench --bin bench_kernels
     # --gate fails the run when stacking eight samples through the mid-depth
     # vgg16_fine convolution buys less than 1.3x per sample: a convolution
-    # that lowers and multiplies sample by sample measures ~1.0 there.
+    # that lowers and multiplies sample by sample measures ~1.0 there. It
+    # also fails when the 40-exit planner case loses its ratio over its
+    # references: SearchEngine::search under 2x the closure oracle, or
+    # CsPredictor::infer under 1.5x the serial loop.
     # EINET_BENCH_BUDGET_MS (default 300 per case) sizes the run; 100 keeps
     # it to a few seconds.
     ./target/release/bench_kernels --gate
