@@ -59,11 +59,11 @@
 //!   non-empty.
 //!
 //! The per-stage breakdown (counts, quantiles, log-bucket histograms) is
-//! written to the optional third path (default
-//! `results/latency_breakdown.json`) for `einet report` to render.
+//! written to the optional third path (default `latency_breakdown.json`
+//! beside the client stream) for `einet report` to render.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use einet_trace::json::{parse, JsonValue};
@@ -879,8 +879,10 @@ fn check_distributed(client_path: &str, server_path: &str, out: Option<&String>)
         tol * 100.0
     );
 
-    let default_out = "results/latency_breakdown.json".to_string();
-    let out_path = Path::new(out.unwrap_or(&default_out));
+    let out_path = out.map_or_else(
+        || Path::new(client_path).with_file_name("latency_breakdown.json"),
+        PathBuf::from,
+    );
     let mut w = einet_trace::json::JsonWriter::new();
     w.begin_object();
     w.key("requests");
@@ -919,7 +921,7 @@ fn check_distributed(client_path: &str, server_path: &str, out: Option<&String>)
             }
         }
     }
-    if let Err(e) = std::fs::write(out_path, w.finish()) {
+    if let Err(e) = std::fs::write(&out_path, w.finish()) {
         return fail(&format!("cannot write {}: {e}", out_path.display()));
     }
     println!("trace_check: wrote {}", out_path.display());

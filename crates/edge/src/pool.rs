@@ -553,9 +553,50 @@ mod tests {
 
     #[test]
     fn batched_pool_serves_and_accounts_every_task() {
+        use einet_core::{PlanContext, Planner, PlannerDecision, StaticPlanner};
+        use std::sync::mpsc::Sender;
+        use std::sync::Mutex;
+
+        /// Full plan; parks the worker inside its first call until
+        /// released, so that every task submitted meanwhile is queued when
+        /// the worker next pops a batch — a backlog with no wall clock.
+        struct Turnstile {
+            entered: Sender<()>,
+            release: Receiver<()>,
+            parked: bool,
+        }
+        impl Planner for Turnstile {
+            fn name(&self) -> String {
+                "turnstile".into()
+            }
+            fn plan(&mut self, _ctx: &PlanContext<'_>) -> PlannerDecision {
+                if !self.parked {
+                    self.parked = true;
+                    self.entered.send(()).unwrap();
+                    self.release.recv().unwrap();
+                }
+                PlannerDecision::Plan(ExitPlan::full(3))
+            }
+        }
+
+        let (entered_tx, entered) = channel();
+        let (release, release_rx) = channel();
+        let turnstile = Mutex::new(Some(Turnstile {
+            entered: entered_tx,
+            release: release_rx,
+            parked: false,
+        }));
+        // The first planner minted is the turnstile, every later one plans
+        // the full network too.
+        let mut source = Some(crate::FnSource::new("turnstile", move || {
+            match turnstile.lock().unwrap().take() {
+                Some(t) => Box::new(t) as Box<dyn Planner>,
+                None => Box::new(StaticPlanner::new(ExitPlan::full(3), "static")),
+            }
+        }));
         let pool = ExecutorPool::spawn(
             net(),
-            |_| Box::new(StaticSource::new(ExitPlan::full(3))),
+            |_| Box::new(source.take().expect("one worker")),
             PreemptionGate::new(),
             PoolConfig {
                 workers: 1,
@@ -564,9 +605,16 @@ mod tests {
                 ..PoolConfig::default()
             },
         );
-        let replies: Vec<_> = (0..16)
-            .map(|_| pool.submit(InferenceRequest::new(input())).unwrap())
-            .collect();
+        // Generous next to any service time: batching must not cost a
+        // deadline.
+        let submit = || {
+            pool.submit(InferenceRequest::new(input()).with_deadline(Duration::from_secs(10)))
+                .unwrap()
+        };
+        let mut replies = vec![submit()];
+        entered.recv().unwrap();
+        replies.extend((1..16).map(|_| submit()));
+        release.send(()).unwrap();
         for r in replies {
             let outcome = r.recv().unwrap().unwrap();
             assert!(outcome.is_complete());
@@ -577,7 +625,10 @@ mod tests {
         assert!(snap.reconciles());
         // Every serviced task is accounted to exactly one batch.
         assert_eq!(snap.batch.sum, 16);
-        assert!(snap.batch.count <= 16);
+        // The parked task ran alone; the 15-task backlog behind it coalesced
+        // into full batches of 4: 1 + ⌈15/4⌉ dispatches.
+        assert!(snap.batch.count <= 5, "{} dispatches", snap.batch.count);
+        assert_eq!(snap.deadline_met, 16);
         pool.shutdown();
     }
 

@@ -5,20 +5,23 @@
 # keeps its speed-up over its references, the tracing smoke
 # that records a tiny traced demo (one-shot drain AND continuous streaming)
 # and validates the artifacts with trace_check + einet report, or the
-# serving smoke that saturates the batched pool and fails on a
-# throughput/deadline-miss regression against the batch=1 baseline, then
-# drives the multi-tenant TCP front-end (bench_load + einet serve
-# --self-test, both through the reactor, the one listener) and fails unless
-# shed accounting, the M/D/1 queue-delay cross-check, the reactor
-# connection-scaling gate, and the distributed two-stream trace
-# reconciliation (trace_check --distributed) all hold.
+# serving smoke that drives the multi-tenant TCP front-end (bench_load +
+# einet serve --self-test, both through the reactor, the one listener) and
+# fails unless shed accounting, the reactor connection-scaling gate, and
+# the distributed two-stream trace reconciliation (trace_check
+# --distributed) all hold.
+#
+# The traces, streams and metrics these smokes write under results/ are
+# regenerated and validated on every run, so git ignores them; only the
+# small summaries (bench_*.json, dist_trace/latency_breakdown.json,
+# serve/serve_metrics.json) are tracked.
 #
 #   scripts/check.sh                # fmt --check + clippy -D warnings + tests
 #   scripts/check.sh --bench        # also run the gated bench runner (release build)
 #   scripts/check.sh --trace-smoke  # also run traced demos + trace_check
-#   scripts/check.sh --serve-smoke  # also run the gated serving benchmark, the
-#                                   # TCP load gate, the serve self-test and
-#                                   # the distributed-trace reconciliation
+#   scripts/check.sh --serve-smoke  # also run the TCP load gate, the serve
+#                                   # self-test and the distributed-trace
+#                                   # reconciliation
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -79,22 +82,13 @@ if [ "$run_trace_smoke" -eq 1 ]; then
 fi
 
 if [ "$run_serve_smoke" -eq 1 ]; then
-    echo "== serving smoke (results/bench_serving.json)"
-    cargo build --release -p einet-bench --bin bench_serving
-    # A short saturation pass: 60 tasks per configuration keeps CI fast
-    # while leaving plenty of backlog for batches to form; --gate fails the
-    # run if batching stops paying (speedup < 1.5x) or gives back SLO.
-    EINET_SERVE_TASKS="${EINET_SERVE_TASKS:-60}" ./target/release/bench_serving --gate
     echo "== multi-tenant front-end smoke (results/bench_load.json)"
     cargo build --release -p einet-cli --bin einet
     cargo build --release -p einet-bench --bin bench_load --bin trace_check
     # A few hundred requests over real loopback TCP across two models:
     # --gate fails the run unless the shed accounting reconciles end to end
     # (client 429s == registry/pool shed counters, per tenant) and the
-    # measured mean queue delay lands within tolerance of the M/D/1
-    # analytic. The smoke sizes down and widens the tolerance (mean-wait
-    # estimates are noisy at ~200 samples); the default-size run holds the
-    # paper-grade 25%.
+    # bursty scenario provokes at least one shed.
     #
     # The run ends with the connection-scaling sweep: the gate fails unless
     # the reactor holds the top sweep level (5000 idle connections by
@@ -109,7 +103,6 @@ if [ "$run_serve_smoke" -eq 1 ]; then
     EINET_LOAD_REQUESTS="${EINET_LOAD_REQUESTS:-200}" \
     EINET_LOAD_BURST="${EINET_LOAD_BURST:-100}" \
     EINET_LOAD_RAMP="${EINET_LOAD_RAMP:-60}" \
-    EINET_LOAD_TOL="${EINET_LOAD_TOL:-0.5}" \
         ./target/release/bench_load --gate
     echo "== serve self-test (multiplexing + drain + autoscale, trace_check --serve)"
     # A loopback self-test through the listener: the sequential sweep with
@@ -137,11 +130,10 @@ if [ "$run_serve_smoke" -eq 1 ]; then
     # table and one two-process Chrome document.
     rm -rf results/dist_trace
     ./target/release/bench_load --trace-out results/dist_trace --trace-only
+    # The breakdown lands beside the streams, in latency_breakdown.json.
     ./target/release/trace_check --distributed \
         results/dist_trace/client_trace.jsonl \
-        results/dist_trace/server_trace.jsonl \
-        results/dist_trace/latency_breakdown.json
-    cp results/dist_trace/latency_breakdown.json results/latency_breakdown.json
+        results/dist_trace/server_trace.jsonl
     ./target/release/einet report --dir results/dist_trace \
         --chrome-out results/dist_trace/merged_chrome.json
 fi
