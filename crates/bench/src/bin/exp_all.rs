@@ -1,29 +1,28 @@
-//! Runs every experiment in sequence, regenerating all tables and figures.
-//! Accepts `--quick` / `--full` or `EINET_SCALE`.
+//! Regenerates the paper's tables and figures: every experiment of
+//! `einet_bench::experiments::ALL`, or only those named on the command line
+//! (`exp_all -- --quick fig8 table2`). Accepts `--quick` / `--full` or
+//! `EINET_SCALE`.
 use einet_bench::experiments as exp;
 
-type ExperimentFn = fn(&einet_bench::Scale) -> einet_bench::report::Report;
-
 fn main() {
+    let names: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|a| !a.starts_with("--"))
+        .collect();
+    let mut runs = Vec::new();
+    for name in &names {
+        let Some(&run) = exp::ALL.iter().find(|(n, _)| n == name) else {
+            let known: Vec<&str> = exp::ALL.iter().map(|(n, _)| *n).collect();
+            eprintln!("unknown experiment {name}; known: {}", known.join(", "));
+            std::process::exit(2);
+        };
+        runs.push(run);
+    }
+    if names.is_empty() {
+        runs = exp::ALL.to_vec();
+    }
     let scale = einet_bench::Scale::from_env();
     let t0 = std::time::Instant::now();
-    let runs: Vec<(&str, ExperimentFn)> = vec![
-        ("fig4", exp::fig4_block_times),
-        ("table1", exp::table1_implementation_gap),
-        ("fig8", exp::fig8_static_plans),
-        ("table2", exp::table2_static_optimal),
-        ("fig9", exp::fig9_dynamic_plans),
-        ("fig10", exp::fig10_common_nns),
-        ("fig11", exp::fig11_expectation_vs_truth),
-        ("fig12", exp::fig12_enum_budget),
-        ("fig13", exp::fig13_distributions),
-        ("table3", exp::table3_activation_cache),
-        ("fig14a", exp::fig14a_model_structures),
-        ("fig14b", exp::fig14b_branch_structures),
-        ("ablation_components", exp::ablation_components),
-        ("ablation_overhead", exp::ablation_replan_overhead),
-        ("transformer", exp::transformer_exits),
-    ];
     for (name, f) in runs {
         eprintln!(
             "=== {name} ({:.0}s elapsed) ===",
@@ -32,5 +31,5 @@ fn main() {
         f(&scale).finish(name);
         println!();
     }
-    eprintln!("all experiments done in {:.0}s", t0.elapsed().as_secs_f64());
+    eprintln!("done in {:.0}s", t0.elapsed().as_secs_f64());
 }

@@ -17,8 +17,6 @@ pub struct Scale {
     pub epochs: usize,
     /// CS-Predictor training epochs.
     pub predictor_epochs: usize,
-    /// Kill-time draws per sample in accuracy evaluations.
-    pub trials: usize,
     /// Identifier used in artifact cache keys.
     pub id: &'static str,
 }
@@ -31,7 +29,6 @@ impl Scale {
             test_n: 200,
             epochs: 14,
             predictor_epochs: 40,
-            trials: 3,
             id: "quick",
         }
     }
@@ -43,7 +40,6 @@ impl Scale {
             test_n: 400,
             epochs: 20,
             predictor_epochs: 60,
-            trials: 5,
             id: "full",
         }
     }

@@ -2,14 +2,11 @@
 //! DESIGN.md calls out: the CS-Predictor's contribution, the search budget,
 //! and sensitivity to the planner's own replanning cost.
 
-use einet_core::eval::{overall_accuracy, EvalConfig};
 use einet_core::{
     AllExitsPlanner, EinetPlanner, ElasticRuntime, ProfilePriorPlanner, SearchEngine,
     TimeDistribution,
 };
 use einet_models::{BranchSpec, ModelKind};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use crate::configs::{DatasetKind, Scale};
 use crate::pipeline::prepare;
@@ -28,19 +25,15 @@ pub fn ablation_components(scale: &Scale) -> Report {
         &BranchSpec::paper_default(),
     );
     let tables = art.tables();
-    let cfg = EvalConfig {
-        trials: scale.trials,
-        seed: 21,
-    };
-    let mut all = AllExitsPlanner;
-    let no_planner = overall_accuracy(&art.et, &dist, &tables, &mut all, &cfg);
+    let rt = ElasticRuntime::new(&art.et, &dist);
+    let no_planner = rt.overall_accuracy(&tables, &mut AllExitsPlanner);
     report.row("no planner (all exits)", &[("acc", pct(no_planner))]);
     let mut prior_only = ProfilePriorPlanner::new(art.prior(), SearchEngine::default());
-    let acc = overall_accuracy(&art.et, &dist, &tables, &mut prior_only, &cfg);
+    let acc = rt.overall_accuracy(&tables, &mut prior_only);
     report.row("search, no predictor", &[("acc", pct(acc))]);
     for m in [0_usize, 2, 4, 6] {
         let mut einet = EinetPlanner::new(&art.predictor, art.prior(), SearchEngine::new(m));
-        let acc = overall_accuracy(&art.et, &dist, &tables, &mut einet, &cfg);
+        let acc = rt.overall_accuracy(&tables, &mut einet);
         report.row(&format!("einet, enum budget m={m}"), &[("acc", pct(acc))]);
     }
     report
@@ -62,20 +55,10 @@ pub fn ablation_replan_overhead(scale: &Scale) -> Report {
     let horizon = art.et.total_ms();
     report.line(format!("profile horizon: {horizon:.2} ms"));
     for overhead_ms in [0.0, 0.01, 0.05, 0.2, 1.0] {
-        let runtime = ElasticRuntime::new(&art.et, &dist).with_replan_overhead(overhead_ms);
         let mut einet = EinetPlanner::new(&art.predictor, art.prior(), SearchEngine::default());
-        let mut rng = SmallRng::seed_from_u64(7);
-        let mut correct = 0usize;
-        let trials = scale.trials;
-        for table in &tables {
-            for _ in 0..trials {
-                let kill = dist.sample(horizon, &mut rng);
-                if runtime.run_sample(table, &mut einet, kill).correct {
-                    correct += 1;
-                }
-            }
-        }
-        let acc = correct as f64 / (tables.len() * trials) as f64;
+        let acc = ElasticRuntime::new(&art.et, &dist)
+            .with_replan_overhead(overhead_ms)
+            .overall_accuracy(&tables, &mut einet);
         report.row(
             &format!("overhead {overhead_ms:>5.2} ms"),
             &[("acc", pct(acc))],

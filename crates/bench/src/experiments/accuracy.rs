@@ -1,25 +1,16 @@
 //! Overall-accuracy experiments: Fig. 8, Table II, Fig. 9, Fig. 10.
 
-use einet_core::eval::{
-    compressed_profile, degrade_final_exit, overall_accuracy, plan_ground_truth, EvalConfig,
-};
+use einet_core::eval::{compressed_profile, degrade_final_exit, plan_ground_truth};
 use einet_core::search::hybrid_search;
 use einet_core::{
     expectation, AllExitsPlanner, ClassicPlanner, ConfidenceThresholdPlanner, EinetPlanner,
-    ExitPlan, RandomSearchPlanner, SearchEngine, StaticPlanner, TimeDistribution,
+    ElasticRuntime, ExitPlan, RandomSearchPlanner, SearchEngine, StaticPlanner, TimeDistribution,
 };
 use einet_models::{BranchSpec, ModelKind};
 
 use crate::configs::{DatasetKind, Scale};
 use crate::pipeline::{prepare, Artifacts};
-use crate::report::{bar, mean, pct, Report};
-
-fn eval_cfg(scale: &Scale, seed: u64) -> EvalConfig {
-    EvalConfig {
-        trials: scale.trials,
-        seed,
-    }
-}
+use crate::report::{bar, pct, Report};
 
 /// Average confidence per exit over the profile — the offline "average
 /// accuracy profile" used to pick static-optimal plans (Table II).
@@ -40,11 +31,11 @@ pub fn fig8_static_plans(scale: &Scale) -> Report {
             let art = prepare(model, dataset, scale, &spec);
             let tables = art.tables();
             let n = art.et.num_exits();
-            let cfg = eval_cfg(scale, 8);
+            let rt = ElasticRuntime::new(&art.et, &dist);
             let mut values = Vec::new();
             for pctg in [0.25, 0.5, 1.0] {
                 let mut planner = StaticPlanner::percent(n, pctg);
-                let acc = overall_accuracy(&art.et, &dist, &tables, &mut planner, &cfg);
+                let acc = rt.overall_accuracy(&tables, &mut planner);
                 values.push((
                     if pctg == 0.25 {
                         "static25"
@@ -57,7 +48,7 @@ pub fn fig8_static_plans(scale: &Scale) -> Report {
                 ));
             }
             let mut einet = EinetPlanner::new(&art.predictor, art.prior(), SearchEngine::default());
-            let acc = overall_accuracy(&art.et, &dist, &tables, &mut einet, &cfg);
+            let acc = rt.overall_accuracy(&tables, &mut einet);
             values.push(("einet", pct(acc)));
             values.push(("viz", bar(acc, 20)));
             report.row(&format!("{model}"), &values);
@@ -89,10 +80,10 @@ pub fn table2_static_optimal(scale: &Scale) -> Report {
             let free: Vec<usize> = (0..n).collect();
             let eval = |p: &ExitPlan| expectation(&art.et, &dist, p, &avg_conf);
             let (static_opt, _) = hybrid_search(&base, &free, budget, &eval);
-            let cfg = eval_cfg(scale, 2);
-            let static_acc = plan_ground_truth(&art.et, &dist, &tables, &static_opt, &cfg);
+            let static_acc = plan_ground_truth(&art.et, &dist, &tables, &static_opt);
             let mut einet = EinetPlanner::new(&art.predictor, art.prior(), SearchEngine::default());
-            let einet_acc = overall_accuracy(&art.et, &dist, &tables, &mut einet, &cfg);
+            let einet_acc =
+                ElasticRuntime::new(&art.et, &dist).overall_accuracy(&tables, &mut einet);
             report.row(
                 &format!("{model}"),
                 &[
@@ -126,14 +117,14 @@ pub fn fig9_dynamic_plans(scale: &Scale) -> Report {
         for model in [ModelKind::Vgg16Fine, ModelKind::MsdNet21] {
             let art = prepare(model, dataset, scale, &spec);
             let tables = art.tables();
-            let cfg = eval_cfg(scale, 4);
+            let rt = ElasticRuntime::new(&art.et, &dist);
             let n = art.et.num_exits();
             let mut base_planner = StaticPlanner::percent(n, 1.0);
-            let base = overall_accuracy(&art.et, &dist, &tables, &mut base_planner, &cfg);
+            let base = rt.overall_accuracy(&tables, &mut base_planner);
             let mut rows = Vec::new();
             for threshold in [0.7_f32, 0.9] {
                 let mut planner = ConfidenceThresholdPlanner::new(threshold);
-                let acc = overall_accuracy(&art.et, &dist, &tables, &mut planner, &cfg);
+                let acc = rt.overall_accuracy(&tables, &mut planner);
                 rows.push((
                     if threshold < 0.8 {
                         "conf0.70"
@@ -144,10 +135,10 @@ pub fn fig9_dynamic_plans(scale: &Scale) -> Report {
                 ));
             }
             let mut random = RandomSearchPlanner::new(&art.predictor, art.prior(), tries, 77);
-            let acc = overall_accuracy(&art.et, &dist, &tables, &mut random, &cfg);
+            let acc = rt.overall_accuracy(&tables, &mut random);
             rows.push(("einet-random", format!("{:+.2}pp", (acc - base) * 100.0)));
             let mut einet = EinetPlanner::new(&art.predictor, art.prior(), SearchEngine::default());
-            let acc = overall_accuracy(&art.et, &dist, &tables, &mut einet, &cfg);
+            let acc = rt.overall_accuracy(&tables, &mut einet);
             rows.push(("einet-hybrid", format!("{:+.2}pp", (acc - base) * 100.0)));
             rows.push(("static100", pct(base)));
             report.row(&format!("{model}"), &rows);
@@ -157,13 +148,11 @@ pub fn fig9_dynamic_plans(scale: &Scale) -> Report {
 }
 
 /// Fig. 10: EINet vs common neural networks (classic single-exit,
-/// compressed, plain multi-exit), averaged over 10 repetitions.
+/// compressed, plain multi-exit).
 pub fn fig10_common_nns(scale: &Scale) -> Report {
-    let mut report =
-        Report::new("Fig. 10 — EINet vs common NNs (classic / compressed / ME-NN), 10 repetitions");
+    let mut report = Report::new("Fig. 10 — EINet vs common NNs (classic / compressed / ME-NN)");
     let dist = TimeDistribution::Uniform;
     let spec = BranchSpec::paper_default();
-    let repeats = 10;
     for model in [
         ModelKind::FlexVgg16,
         ModelKind::Vgg16Fine,
@@ -172,37 +161,25 @@ pub fn fig10_common_nns(scale: &Scale) -> Report {
     ] {
         let art = prepare(model, DatasetKind::Objects, scale, &spec);
         let tables = art.tables();
-        let (mut classic, mut compressed, mut menn, mut einet_acc) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let rt = ElasticRuntime::new(&art.et, &dist);
         // The compressed baseline: 0.6x inference time, ~6% accuracy drop at
         // the (single) final exit — typical pruning/distillation trade-off.
         let comp_et = compressed_profile(&art.et, 0.6);
         let mut comp_tables = tables.clone();
         degrade_final_exit(&mut comp_tables, 0.06, 42);
-        for rep in 0..repeats {
-            let cfg = eval_cfg(scale, 100 + rep as u64);
-            let mut p = ClassicPlanner;
-            classic.push(overall_accuracy(&art.et, &dist, &tables, &mut p, &cfg));
-            let mut p = ClassicPlanner;
-            compressed.push(overall_accuracy(
-                &comp_et,
-                &dist,
-                &comp_tables,
-                &mut p,
-                &cfg,
-            ));
-            let mut p = AllExitsPlanner;
-            menn.push(overall_accuracy(&art.et, &dist, &tables, &mut p, &cfg));
-            let mut p = EinetPlanner::new(&art.predictor, art.prior(), SearchEngine::default());
-            einet_acc.push(overall_accuracy(&art.et, &dist, &tables, &mut p, &cfg));
-        }
+        let classic = rt.overall_accuracy(&tables, &mut ClassicPlanner);
+        let compressed = ElasticRuntime::new(&comp_et, &dist)
+            .overall_accuracy(&comp_tables, &mut ClassicPlanner);
+        let menn = rt.overall_accuracy(&tables, &mut AllExitsPlanner);
+        let mut einet = EinetPlanner::new(&art.predictor, art.prior(), SearchEngine::default());
+        let einet_acc = rt.overall_accuracy(&tables, &mut einet);
         report.row(
             &format!("{model}"),
             &[
-                ("classic", pct(mean(&classic))),
-                ("compressed", pct(mean(&compressed))),
-                ("me-nn", pct(mean(&menn))),
-                ("einet", pct(mean(&einet_acc))),
+                ("classic", pct(classic)),
+                ("compressed", pct(compressed)),
+                ("me-nn", pct(menn)),
+                ("einet", pct(einet_acc)),
             ],
         );
     }

@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use einet_core::eval::{plan_expected, plan_expected_calibrated, plan_ground_truth, EvalConfig};
+use einet_core::eval::{plan_expected, plan_expected_calibrated, plan_ground_truth};
 use einet_core::search::{greedy_augment, hybrid_search, random_search};
 use einet_core::{expectation, expectation_reference, ExitPlan, SearchEngine, TimeDistribution};
 use einet_models::{zoo, BranchSpec, ModelKind};
@@ -182,34 +182,17 @@ pub fn fig11_expectation_vs_truth(scale: &Scale) -> Report {
     );
     let tables = art.tables();
     let calibration = art.cs.exit_calibration();
-    let runs = 5;
     for skipped in (0..=20).step_by(2) {
         let plan = ExitPlan::uniform_skip(40, skipped);
         let raw = plan_expected(&art.et, &dist, &tables, &plan);
         let expected = plan_expected_calibrated(&art.et, &dist, &tables, &plan, &calibration);
-        let truths: Vec<f64> = (0..runs)
-            .map(|r| {
-                plan_ground_truth(
-                    &art.et,
-                    &dist,
-                    &tables,
-                    &plan,
-                    &EvalConfig {
-                        trials: scale.trials,
-                        seed: 1000 + r,
-                    },
-                )
-            })
-            .collect();
+        let truth = plan_ground_truth(&art.et, &dist, &tables, &plan);
         report.row(
             &format!("skip {skipped:>2}"),
             &[
                 ("expectation", pct(expected)),
-                ("truth", pct(mean(&truths))),
-                (
-                    "gap",
-                    format!("{:+.2}pp", (expected - mean(&truths)) * 100.0),
-                ),
+                ("truth", pct(truth)),
+                ("gap", format!("{:+.2}pp", (expected - truth) * 100.0)),
                 ("raw_expectation", pct(raw)),
             ],
         );

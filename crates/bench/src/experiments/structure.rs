@@ -1,21 +1,13 @@
 //! Multi-exit design studies: Fig. 14a (model structures) and Fig. 14b
 //! (branch structures).
 
-use einet_core::eval::{overall_accuracy, EvalConfig};
-use einet_core::{EinetPlanner, SearchEngine, TimeDistribution};
+use einet_core::{EinetPlanner, ElasticRuntime, SearchEngine, TimeDistribution};
 use einet_models::zoo::{self, MsdConfig};
 use einet_models::BranchSpec;
 
 use crate::configs::{DatasetKind, Scale};
 use crate::pipeline::prepare_named;
 use crate::report::{pct, Report};
-
-fn eval_cfg(scale: &Scale, seed: u64) -> EvalConfig {
-    EvalConfig {
-        trials: scale.trials,
-        seed,
-    }
-}
 
 /// Fig. 14a: MSDNet structural sweep — blocks/step/base/channel versus total
 /// inference time and elastic accuracy.
@@ -64,7 +56,7 @@ pub fn fig14a_model_structures(scale: &Scale) -> Report {
         });
         let tables = art.tables();
         let mut einet = EinetPlanner::new(&art.predictor, art.prior(), SearchEngine::default());
-        let acc = overall_accuracy(&art.et, &dist, &tables, &mut einet, &eval_cfg(scale, 14));
+        let acc = ElasticRuntime::new(&art.et, &dist).overall_accuracy(&tables, &mut einet);
         let final_acc = *art.exit_accuracy().last().unwrap_or(&0.0);
         report.row(
             &format!(
@@ -96,7 +88,7 @@ pub fn fig14b_branch_structures(scale: &Scale) -> Report {
         });
         let tables = art.tables();
         let mut einet = EinetPlanner::new(&art.predictor, art.prior(), SearchEngine::default());
-        let acc = overall_accuracy(&art.et, &dist, &tables, &mut einet, &eval_cfg(scale, 15));
+        let acc = ElasticRuntime::new(&art.et, &dist).overall_accuracy(&tables, &mut einet);
         let final_acc = *art.exit_accuracy().last().unwrap_or(&0.0);
         report.row(
             &format!("{convs} conv x {fcs} fc"),

@@ -1,8 +1,9 @@
 //! The Discussion-section extension: elastic inference on a multi-exit
 //! Transformer (sequence classification).
 
-use einet_core::eval::{overall_accuracy, EvalConfig};
-use einet_core::{AllExitsPlanner, ClassicPlanner, EinetPlanner, SearchEngine, TimeDistribution};
+use einet_core::{
+    AllExitsPlanner, ClassicPlanner, EinetPlanner, ElasticRuntime, SearchEngine, TimeDistribution,
+};
 use einet_data::{Dataset, SynthSequences};
 use einet_models::{zoo, BranchSpec, OptimizerKind, TrainConfig};
 
@@ -35,10 +36,6 @@ pub fn transformer_exits(scale: &Scale) -> Report {
             (net, ds)
         });
         let tables = art.tables();
-        let cfg = EvalConfig {
-            trials: scale.trials,
-            seed: 16,
-        };
         let acc = art.exit_accuracy();
         report.row(
             &format!("transformer-{blocks}blk exits"),
@@ -47,12 +44,11 @@ pub fn transformer_exits(scale: &Scale) -> Report {
                 ("last", pct(f64::from(*acc.last().unwrap()))),
             ],
         );
-        let mut classic = ClassicPlanner;
-        let mut all = AllExitsPlanner;
+        let rt = ElasticRuntime::new(&art.et, &dist);
         let mut einet = EinetPlanner::new(&art.predictor, art.prior(), SearchEngine::default());
-        let c = overall_accuracy(&art.et, &dist, &tables, &mut classic, &cfg);
-        let a = overall_accuracy(&art.et, &dist, &tables, &mut all, &cfg);
-        let e = overall_accuracy(&art.et, &dist, &tables, &mut einet, &cfg);
+        let c = rt.overall_accuracy(&tables, &mut ClassicPlanner);
+        let a = rt.overall_accuracy(&tables, &mut AllExitsPlanner);
+        let e = rt.overall_accuracy(&tables, &mut einet);
         report.row(
             &format!("transformer-{blocks}blk elastic"),
             &[("classic", pct(c)), ("me-nn", pct(a)), ("einet", pct(e))],

@@ -171,7 +171,6 @@ mod tests {
             test_n: 30,
             epochs: 2,
             predictor_epochs: 5,
-            trials: 2,
             id: "test",
         }
     }

@@ -3,10 +3,10 @@
 
 use std::path::PathBuf;
 
-use einet_core::eval::{overall_accuracy, tables_from_profile, EvalConfig};
+use einet_core::eval::tables_from_profile;
 use einet_core::{
-    AllExitsPlanner, ClassicPlanner, ConfidenceThresholdPlanner, EinetPlanner, Planner,
-    SearchEngine, StaticPlanner,
+    AllExitsPlanner, ClassicPlanner, ConfidenceThresholdPlanner, EinetPlanner, ElasticRuntime,
+    Planner, SearchEngine, StaticPlanner,
 };
 use einet_predictor::{build_training_set, train_predictor, CsPredictor, PredictorTrainConfig};
 use einet_profile::{CsProfile, EtProfile};
@@ -22,7 +22,6 @@ pub fn run(args: &ParsedArgs) -> CmdResult {
     let et = EtProfile::load(&paths.et)?;
     let cs = CsProfile::load(&paths.cs)?;
     let dist = parse_dist(args.get_or("dist", "uniform"))?;
-    let trials: usize = args.get_parsed_or("trials", 5)?;
     let predictor_epochs: usize = args.get_parsed_or("predictor-epochs", 40)?;
 
     println!(
@@ -45,7 +44,7 @@ pub fn run(args: &ParsedArgs) -> CmdResult {
         );
     }
     let tables = tables_from_profile(&cs);
-    let cfg = EvalConfig { trials, seed: 7 };
+    let runtime = ElasticRuntime::new(&et, &dist);
     let prior = cs.exit_mean_confidence();
     let mut planners: Vec<Box<dyn Planner>> = vec![
         Box::new(ClassicPlanner),
@@ -60,11 +59,11 @@ pub fn run(args: &ParsedArgs) -> CmdResult {
         )),
     ];
     println!(
-        "\noverall accuracy ({} samples x {trials} kill draws):",
+        "\noverall accuracy ({} samples, kill integrated exactly):",
         cs.len()
     );
     for planner in planners.iter_mut() {
-        let acc = overall_accuracy(&et, &dist, &tables, planner.as_mut(), &cfg);
+        let acc = runtime.overall_accuracy(&tables, planner.as_mut());
         println!("  {:<24} {:.2}%", planner.name(), acc * 100.0);
     }
     if let Some(path) = &trace_out {
@@ -106,8 +105,6 @@ mod tests {
                 "eval".to_string(),
                 "--dir".to_string(),
                 dir.to_str().unwrap().to_string(),
-                "--trials".to_string(),
-                "2".to_string(),
                 "--predictor-epochs".to_string(),
                 "2".to_string(),
             ],

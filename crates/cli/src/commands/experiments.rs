@@ -1,71 +1,30 @@
 //! `einet experiments` — regenerate the paper's tables and figures.
 
-use einet_bench::experiments as exp;
-use einet_bench::{report::Report, Scale};
+use einet_bench::experiments::ALL;
+use einet_bench::Scale;
 
 use crate::args::ParsedArgs;
 use crate::commands::CmdResult;
 
-type ExpFn = fn(&Scale) -> Report;
-
-/// Experiment registry: name → generator.
-pub(crate) fn registry() -> Vec<(&'static str, ExpFn)> {
-    vec![
-        ("fig4", exp::fig4_block_times),
-        ("table1", exp::table1_implementation_gap),
-        ("fig8", exp::fig8_static_plans),
-        ("table2", exp::table2_static_optimal),
-        ("fig9", exp::fig9_dynamic_plans),
-        ("fig10", exp::fig10_common_nns),
-        ("fig11", exp::fig11_expectation_vs_truth),
-        ("fig12", exp::fig12_enum_budget),
-        ("fig13", exp::fig13_distributions),
-        ("table3", exp::table3_activation_cache),
-        ("fig14a", exp::fig14a_model_structures),
-        ("fig14b", exp::fig14b_branch_structures),
-        ("ablation", exp::ablation_components),
-        ("ablation-overhead", exp::ablation_replan_overhead),
-        ("transformer", exp::transformer_exits),
-    ]
-}
-
-/// Runs the subcommand: the first bare argument names the experiment (or
-/// `all`).
+/// Runs the subcommand: bare arguments name experiments of
+/// [`einet_bench::experiments::ALL`] (or `all`).
 pub fn run(args: &ParsedArgs) -> CmdResult {
     let scale = if args.has_flag("full") {
         Scale::full()
     } else {
         Scale::quick()
     };
-    // The experiment name arrives as an extra positional (stored as a flag).
-    let wanted: Vec<&str> = registry()
+    // Experiment names arrive as extra positionals (stored as flags).
+    let wanted: Vec<_> = ALL
         .iter()
-        .map(|(n, _)| *n)
-        .filter(|n| args.has_flag(n))
+        .filter(|(n, _)| args.has_flag("all") || args.has_flag(n))
         .collect();
-    if args.has_flag("all") {
-        for (name, f) in registry() {
-            eprintln!("=== {name} ===");
-            f(&scale).finish(name);
-        }
-        return Ok(());
-    }
     if wanted.is_empty() {
-        return Err(format!(
-            "name an experiment or 'all'; known: {}",
-            registry()
-                .iter()
-                .map(|(n, _)| *n)
-                .collect::<Vec<_>>()
-                .join(", ")
-        )
-        .into());
+        let known: Vec<&str> = ALL.iter().map(|(n, _)| *n).collect();
+        return Err(format!("name an experiment or 'all'; known: {}", known.join(", ")).into());
     }
-    for name in wanted {
-        let (_, f) = registry()
-            .into_iter()
-            .find(|(n, _)| *n == name)
-            .expect("filtered from registry");
+    for (name, f) in wanted {
+        eprintln!("=== {name} ===");
         f(&scale).finish(name);
     }
     Ok(())
@@ -74,15 +33,6 @@ pub fn run(args: &ParsedArgs) -> CmdResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_names_are_unique() {
-        let mut names: Vec<_> = registry().iter().map(|(n, _)| *n).collect();
-        let before = names.len();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), before);
-    }
 
     #[test]
     fn unknown_experiment_is_an_error() {

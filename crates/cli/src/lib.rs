@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! einet train   --model msdnet21 --dataset objects --out-dir einet-out
-//! einet eval    --dir einet-out [--dist uniform|gauss0.5|gauss1.0] [--trials 5]
+//! einet eval    --dir einet-out [--dist uniform|gauss0.5|gauss1.0]
 //! einet plan    --dir einet-out [--m 4] [--dist ...]
 //! einet demo    [--preemptions 6] [--stream-out DIR]
 //! einet report  --dir DIR [--chrome-out FILE]
@@ -100,7 +100,7 @@ COMMANDS:
                    --dataset <digits|objects|objects100>
                    [--epochs N] [--train-n N] [--test-n N] [--out-dir DIR]
     eval         compare planners on trained profiles
-                   --dir DIR [--dist uniform|gauss0.5|gauss1.0] [--trials N]
+                   --dir DIR [--dist uniform|gauss0.5|gauss1.0]
                    [--trace-out FILE]
     plan         search a near-optimal exit plan on trained profiles
                    --dir DIR [--m N] [--dist ...]

@@ -1,8 +1,10 @@
-//! Overall-accuracy evaluation harnesses (Section VI methodology).
+//! Accuracy-evaluation helpers (Section VI methodology).
 //!
-//! The paper's metric: draw a random kill time per sample, run elastic
-//! inference, score the last output (no output = incorrect), and average
-//! over many samples and trials to wash out the randomness.
+//! The paper's metric — draw a random kill time per sample and score the
+//! last output held then — is computed exactly by
+//! [`ElasticRuntime::overall_accuracy`](crate::ElasticRuntime::overall_accuracy);
+//! this module holds the fixed-plan forms of it and the profile transforms
+//! the experiments build their baselines from.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -11,24 +13,8 @@ use einet_profile::{CsProfile, EtProfile};
 
 use crate::expectation::expectation;
 use crate::plan::ExitPlan;
-use crate::planner::Planner;
-use crate::runtime::{ElasticRuntime, SampleTable};
+use crate::runtime::SampleTable;
 use crate::time_dist::TimeDistribution;
-
-/// Evaluation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalConfig {
-    /// Independent kill-time draws per sample.
-    pub trials: usize,
-    /// RNG seed for the kill times.
-    pub seed: u64,
-}
-
-impl Default for EvalConfig {
-    fn default() -> Self {
-        EvalConfig { trials: 5, seed: 0 }
-    }
-}
 
 /// Converts a whole CS-profile into per-sample simulation tables.
 pub fn tables_from_profile(profile: &CsProfile) -> Vec<SampleTable> {
@@ -37,46 +23,34 @@ pub fn tables_from_profile(profile: &CsProfile) -> Vec<SampleTable> {
         .collect()
 }
 
-/// Overall accuracy of `planner` over `tables` with random kill times.
+/// Ground-truth overall accuracy of a *fixed* plan (used by Fig. 11 to
+/// validate the expectation metric): Eq. 5 with each exit's correctness
+/// (1 or 0) in place of its confidence, averaged over samples. It equals
+/// [`ElasticRuntime::overall_accuracy`](crate::ElasticRuntime::overall_accuracy)
+/// under a [`StaticPlanner`](crate::StaticPlanner) of the same plan.
 ///
 /// # Panics
 ///
-/// Panics if `tables` is empty or `cfg.trials` is zero.
-pub fn overall_accuracy(
-    et: &EtProfile,
-    dist: &TimeDistribution,
-    tables: &[SampleTable],
-    planner: &mut dyn Planner,
-    cfg: &EvalConfig,
-) -> f64 {
-    assert!(!tables.is_empty(), "no samples to evaluate");
-    assert!(cfg.trials > 0, "need at least one trial");
-    let runtime = ElasticRuntime::new(et, dist);
-    let horizon = runtime.horizon_ms();
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let mut correct = 0usize;
-    for table in tables {
-        for _ in 0..cfg.trials {
-            let kill = dist.sample(horizon, &mut rng);
-            if runtime.run_sample(table, planner, kill).correct {
-                correct += 1;
-            }
-        }
-    }
-    correct as f64 / (tables.len() * cfg.trials) as f64
-}
-
-/// Ground-truth overall accuracy of a *fixed* plan (used by Fig. 11 to
-/// validate the expectation metric).
+/// Panics if `tables` is empty.
 pub fn plan_ground_truth(
     et: &EtProfile,
     dist: &TimeDistribution,
     tables: &[SampleTable],
     plan: &ExitPlan,
-    cfg: &EvalConfig,
 ) -> f64 {
-    let mut planner = crate::planner::StaticPlanner::new(*plan, "ground-truth");
-    overall_accuracy(et, dist, tables, &mut planner, cfg)
+    assert!(!tables.is_empty(), "no samples to evaluate");
+    let sum: f64 = tables
+        .iter()
+        .map(|t| {
+            let correct: Vec<f32> = t
+                .predictions
+                .iter()
+                .map(|&p| if p == t.label { 1.0 } else { 0.0 })
+                .collect();
+            expectation(et, dist, plan, &correct)
+        })
+        .sum();
+    sum / tables.len() as f64
 }
 
 /// The *calculated expectation* of a fixed plan averaged over samples, using
@@ -175,7 +149,8 @@ pub fn degrade_final_exit(tables: &mut [SampleTable], fraction: f64, seed: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{AllExitsPlanner, ClassicPlanner, StaticPlanner};
+    use crate::planner::{AllExitsPlanner, ClassicPlanner};
+    use crate::runtime::ElasticRuntime;
 
     fn fixture() -> (EtProfile, TimeDistribution, Vec<SampleTable>) {
         let et = EtProfile::new(vec![1.0; 5], vec![0.5; 5]).unwrap();
@@ -208,25 +183,20 @@ mod tests {
     #[test]
     fn accuracy_in_unit_range_and_deterministic() {
         let (et, dist, tables) = fixture();
-        let cfg = EvalConfig { trials: 3, seed: 9 };
+        let rt = ElasticRuntime::new(&et, &dist);
         let mut p = AllExitsPlanner;
-        let a1 = overall_accuracy(&et, &dist, &tables, &mut p, &cfg);
-        let a2 = overall_accuracy(&et, &dist, &tables, &mut p, &cfg);
+        let a1 = rt.overall_accuracy(&tables, &mut p);
+        let a2 = rt.overall_accuracy(&tables, &mut p);
         assert!((0.0..=1.0).contains(&a1));
-        assert_eq!(a1, a2, "same seed must reproduce");
+        assert_eq!(a1, a2, "one trajectory per sample must reproduce");
     }
 
     #[test]
     fn multi_exit_beats_classic_under_preemption() {
         let (et, dist, tables) = fixture();
-        let cfg = EvalConfig {
-            trials: 10,
-            seed: 1,
-        };
-        let mut all = AllExitsPlanner;
-        let mut classic = ClassicPlanner;
-        let acc_all = overall_accuracy(&et, &dist, &tables, &mut all, &cfg);
-        let acc_classic = overall_accuracy(&et, &dist, &tables, &mut classic, &cfg);
+        let rt = ElasticRuntime::new(&et, &dist);
+        let acc_all = rt.overall_accuracy(&tables, &mut AllExitsPlanner);
+        let acc_classic = rt.overall_accuracy(&tables, &mut ClassicPlanner);
         assert!(
             acc_all > acc_classic,
             "elastic inference must beat single-exit: {acc_all} vs {acc_classic}"
@@ -236,14 +206,10 @@ mod tests {
     #[test]
     fn expectation_tracks_ground_truth_direction() {
         let (et, dist, tables) = fixture();
-        let cfg = EvalConfig {
-            trials: 40,
-            seed: 3,
-        };
         let full = ExitPlan::full(5);
         let sparse = ExitPlan::from_indices(5, &[4]);
-        let gt_full = plan_ground_truth(&et, &dist, &tables, &full, &cfg);
-        let gt_sparse = plan_ground_truth(&et, &dist, &tables, &sparse, &cfg);
+        let gt_full = plan_ground_truth(&et, &dist, &tables, &full);
+        let gt_sparse = plan_ground_truth(&et, &dist, &tables, &sparse);
         let ex_full = plan_expected(&et, &dist, &tables, &full);
         let ex_sparse = plan_expected(&et, &dist, &tables, &sparse);
         // Both metrics should order the two plans the same way.
@@ -274,21 +240,9 @@ mod tests {
     }
 
     #[test]
-    fn static_planner_matches_ground_truth_helper() {
-        let (et, dist, tables) = fixture();
-        let cfg = EvalConfig { trials: 4, seed: 2 };
-        let plan = ExitPlan::static_percent(5, 0.5);
-        let via_helper = plan_ground_truth(&et, &dist, &tables, &plan, &cfg);
-        let mut planner = StaticPlanner::new(plan, "x");
-        let direct = overall_accuracy(&et, &dist, &tables, &mut planner, &cfg);
-        assert_eq!(via_helper, direct);
-    }
-
-    #[test]
     #[should_panic(expected = "no samples")]
     fn rejects_empty_tables() {
         let (et, dist, _) = fixture();
-        let mut p = AllExitsPlanner;
-        overall_accuracy(&et, &dist, &[], &mut p, &EvalConfig::default());
+        ElasticRuntime::new(&et, &dist).overall_accuracy(&[], &mut AllExitsPlanner);
     }
 }

@@ -24,10 +24,11 @@
 //!   network.
 //! * [`step_plan`] — the Section V online loop, written once over a
 //!   [`PlanMachine`]; [`ElasticRuntime`] is the simulated-clock machine that
-//!   plays inference timelines against random kill times and scores
-//!   outcomes ([`ElasticOutcome`]), `einet-edge` supplies the live one.
-//! * [`eval`] — overall-accuracy evaluation harnesses used by every
-//!   experiment binary.
+//!   records a sample's planned run ([`Trajectory`]), cuts it at a kill
+//!   time ([`ElasticOutcome`]) and scores overall accuracy with the kill
+//!   integrated exactly; `einet-edge` supplies the live one.
+//! * [`eval`] — fixed-plan accuracy forms and baseline transforms used by
+//!   the experiment runners.
 //! * [`BatchGainModel`] — the online service-time/arrival cost model behind
 //!   the serving layer's adaptive batch coalescing (`einet-edge`).
 
@@ -51,6 +52,8 @@ pub use planner::{
     AllExitsPlanner, ClassicPlanner, ConfidenceThresholdPlanner, EinetPlanner, PlanContext,
     Planner, PlannerDecision, ProfilePriorPlanner, RandomSearchPlanner, StaticPlanner,
 };
-pub use runtime::{step_plan, ElasticOutcome, ElasticRuntime, PlanMachine, SampleTable};
+pub use runtime::{
+    step_plan, ElasticOutcome, ElasticRuntime, PlanMachine, SampleTable, Trajectory,
+};
 pub use search::{CacheStats, ExpectationCache, SearchEngine};
 pub use time_dist::TimeDistribution;

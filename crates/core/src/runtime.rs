@@ -5,10 +5,14 @@
 //! planner re-plans after every output, and a cut keeps the last
 //! checkpoint. It drives a [`PlanMachine`] that only knows how to run one
 //! step; the live executors in `einet-edge` are one such machine, and
-//! [`ElasticRuntime`] is the other — a simulated clock cut by an
-//! unpredictable kill time. The latter mirrors the paper's evaluation
-//! methodology, which draws a random inference deadline per sample and
-//! scores the last result produced before it.
+//! [`ElasticRuntime`] is the other — a simulated clock that records the
+//! planned run of a sample as a [`Trajectory`].
+//!
+//! No planner reads the clock or the kill, so a sample's trajectory is the
+//! same whenever the kill lands; a kill only cuts it short. The paper's
+//! evaluation draws a random kill per sample and scores the last result
+//! produced before it; [`ElasticRuntime::overall_accuracy`] integrates that
+//! draw exactly over each trajectory instead of sampling it.
 //!
 //! Because profiling already captured each exit's prediction and confidence
 //! for every test sample ([`SampleTable`]), the simulation never re-runs the
@@ -82,6 +86,16 @@ pub struct ElasticOutcome {
     pub kill_ms: f64,
 }
 
+/// One sample's planned run to completion.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Trajectory {
+    /// Every checkpointed output with the clock time its branch ended
+    /// (before any replanning overhead), in commit order.
+    pub checkpoints: Vec<(f64, EmittedOutput)>,
+    /// When the run ended: the end of its plan, or the replan that stopped.
+    pub end_ms: f64,
+}
+
 /// Simulated-clock elastic executor binding a profile and a kill-time
 /// distribution.
 #[derive(Debug, Clone, Copy)]
@@ -130,8 +144,36 @@ impl<'a> ElasticRuntime<'a> {
         self.dist
     }
 
-    /// Runs one sample against one kill time under `planner`: the shared
-    /// [`step_plan`] loop over a virtual-clock machine.
+    /// Runs one sample to completion under `planner`: the shared
+    /// [`step_plan`] loop over a virtual-clock machine that never dies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample's exit count differs from the profile's.
+    pub fn trajectory(&self, table: &SampleTable, planner: &mut dyn Planner) -> Trajectory {
+        assert_eq!(
+            table.num_exits(),
+            self.et.num_exits(),
+            "sample/profile exit count mismatch"
+        );
+        planner.reset();
+        let mut sim = SimMachine {
+            rt: self,
+            table,
+            t: 0.0,
+            executed: vec![None; table.num_exits()],
+            checkpoints: Vec::new(),
+        };
+        step_plan(self.et, self.dist, planner, &mut sim);
+        Trajectory {
+            checkpoints: sim.checkpoints,
+            end_ms: sim.t,
+        }
+    }
+
+    /// Runs one sample against one kill time under `planner`: its
+    /// [`Trajectory`] cut at `kill_ms`, keeping every checkpoint committed
+    /// by then.
     ///
     /// # Panics
     ///
@@ -142,29 +184,53 @@ impl<'a> ElasticRuntime<'a> {
         planner: &mut dyn Planner,
         kill_ms: f64,
     ) -> ElasticOutcome {
-        assert_eq!(
-            table.num_exits(),
-            self.et.num_exits(),
-            "sample/profile exit count mismatch"
-        );
-        planner.reset();
-        let mut sim = SimMachine {
-            rt: self,
-            table,
-            kill_ms,
-            t: 0.0,
-            executed: vec![None; table.num_exits()],
-            last: None,
-            outputs: 0,
-        };
-        let finished = step_plan(self.et, self.dist, planner, &mut sim);
+        let run = self.trajectory(table, planner);
+        let outputs = run
+            .checkpoints
+            .iter()
+            .take_while(|(t, _)| *t <= kill_ms)
+            .count();
+        let last = outputs.checked_sub(1).map(|k| run.checkpoints[k].1);
         ElasticOutcome {
-            last: sim.last,
-            correct: sim.last.is_some_and(|o| o.predicted == table.label),
-            outputs: sim.outputs,
-            finished,
+            last,
+            correct: last.is_some_and(|o| o.predicted == table.label),
+            outputs,
+            finished: run.end_ms <= kill_ms,
             kill_ms,
         }
+    }
+
+    /// Overall accuracy of `planner` over `tables` (Section VI's metric),
+    /// with the kill integrated exactly: each checkpoint scores
+    /// `[prediction == label]` weighted by the kill-time mass between its
+    /// commit and the next one (the horizon after the last). A kill before
+    /// the first checkpoint yields no result and scores 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tables` is empty or a sample's exit count differs from the
+    /// profile's.
+    pub fn overall_accuracy(&self, tables: &[SampleTable], planner: &mut dyn Planner) -> f64 {
+        assert!(!tables.is_empty(), "no samples to evaluate");
+        let horizon = self.horizon_ms();
+        let sum: f64 = tables
+            .iter()
+            .map(|table| {
+                let run = self.trajectory(table, planner);
+                let cps = &run.checkpoints;
+                cps.iter()
+                    .enumerate()
+                    .filter(|(_, (_, out))| out.predicted == table.label)
+                    .map(|(k, &(t, _))| {
+                        // With replan overhead a checkpoint may land past
+                        // the horizon; its interval then has no mass.
+                        let next = cps.get(k + 1).map_or(horizon.max(t), |c| c.0);
+                        self.dist.mass_between(t, next, horizon)
+                    })
+                    .sum::<f64>()
+            })
+            .sum();
+        sum / tables.len() as f64
     }
 }
 
@@ -259,16 +325,14 @@ pub fn step_plan<M: PlanMachine + ?Sized>(
     true
 }
 
-/// The simulator as a [`PlanMachine`]: a step completes iff the virtual
-/// clock at its end has not passed the kill time.
+/// The simulator as a [`PlanMachine`]: a virtual clock that always runs
+/// and records every checkpoint with its commit time.
 struct SimMachine<'a> {
     rt: &'a ElasticRuntime<'a>,
     table: &'a SampleTable,
-    kill_ms: f64,
     t: f64,
     executed: Vec<Option<f32>>,
-    last: Option<EmittedOutput>,
-    outputs: usize,
+    checkpoints: Vec<(f64, EmittedOutput)>,
 }
 
 impl SimMachine<'_> {
@@ -279,7 +343,7 @@ impl SimMachine<'_> {
 
 impl PlanMachine for SimMachine<'_> {
     fn running(&mut self) -> bool {
-        self.t <= self.kill_ms
+        true
     }
 
     fn advance(&mut self, i: usize) -> bool {
@@ -287,29 +351,25 @@ impl PlanMachine for SimMachine<'_> {
         // simulated clock rides along in the args.
         let _block = trace::span_args(Category::Block, "sim_block", self.sim_args(i));
         self.t += self.rt.et.conv_ms()[i];
-        self.running()
+        true
     }
 
     fn exit(&mut self, i: usize) -> bool {
         self.t += self.rt.et.branch_ms()[i];
-        if !self.running() {
-            // Killed mid-branch: its result never materialises.
-            return false;
-        }
-        self.outputs += 1;
         self.executed[i] = Some(self.table.confidences[i]);
-        self.last = Some(EmittedOutput {
+        let out = EmittedOutput {
             exit: i,
             predicted: self.table.predictions[i],
             confidence: self.table.confidences[i],
-        });
+        };
+        self.checkpoints.push((self.t, out));
         trace::instant(Category::Exit, "sim_exit", self.sim_args(i));
         // The replan that follows every output but the last costs clock
         // time too; an output already emitted survives a kill inside it.
         if i + 1 < self.table.num_exits() {
             self.t += self.rt.replan_overhead_ms;
         }
-        self.running()
+        true
     }
 
     fn confidences(&self) -> &[Option<f32>] {

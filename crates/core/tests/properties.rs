@@ -1,11 +1,15 @@
 //! Property-based tests for the planner core: expectation, search, plans,
 //! and time distributions.
 
+use einet_core::eval::plan_ground_truth;
 use einet_core::search::{enumerate_best, greedy_augment, hybrid_search, random_search};
 use einet_core::{
-    expectation, expectation_reference, ElasticRuntime, ExitPlan, SampleTable, StaticPlanner,
+    expectation, expectation_reference, AllExitsPlanner, ClassicPlanner,
+    ConfidenceThresholdPlanner, EinetPlanner, ElasticRuntime, ExitPlan, Planner,
+    ProfilePriorPlanner, RandomSearchPlanner, SampleTable, SearchEngine, StaticPlanner,
     TimeDistribution,
 };
+use einet_predictor::CsPredictor;
 use einet_profile::EtProfile;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -33,6 +37,20 @@ fn arb_plan() -> impl Strategy<Value = ExitPlan> {
         }
         p
     })
+}
+
+fn arb_tables() -> impl Strategy<Value = Vec<SampleTable>> {
+    proptest::collection::vec((arb_confs(), proptest::collection::vec(0u16..3, N)), 1..5).prop_map(
+        |rows| {
+            rows.into_iter()
+                .map(|(confidences, predictions)| SampleTable {
+                    confidences,
+                    predictions,
+                    label: 1,
+                })
+                .collect()
+        },
+    )
 }
 
 fn arb_dist() -> impl Strategy<Value = TimeDistribution> {
@@ -238,5 +256,62 @@ proptest! {
         prop_assert_eq!(got.correct, got.last.is_some_and(|o| o.predicted == table.label));
         prop_assert_eq!(got.finished, t <= kill_ms);
         prop_assert_eq!(got.kill_ms, kill_ms);
+    }
+
+    /// Exact accuracy is the kill integrated over the trajectory: cutting
+    /// each sample's run at the midpoint of every interval between
+    /// checkpoints (and the horizon), weighted by that interval's kill mass,
+    /// sums to `overall_accuracy` — for every planner of `einet_core`, with
+    /// and without replan overhead.
+    #[test]
+    fn overall_accuracy_equals_the_midpoint_cuts(
+        et in arb_profile(), tables in arb_tables(), plan in arb_plan(),
+        dist in arb_dist(), threshold in 0.1_f32..0.95,
+        overhead in prop_oneof![Just(0.0_f64), 0.0_f64..0.4],
+    ) {
+        let rt = ElasticRuntime::new(&et, &dist).with_replan_overhead(overhead);
+        let horizon = rt.horizon_ms();
+        let predictor = CsPredictor::new(N, 8, 3);
+        let prior = vec![0.5_f32; N];
+        let planners: Vec<Box<dyn Planner + '_>> = vec![
+            Box::new(StaticPlanner::new(plan, "fixed")),
+            Box::new(AllExitsPlanner),
+            Box::new(ClassicPlanner),
+            Box::new(ConfidenceThresholdPlanner::new(threshold)),
+            Box::new(ProfilePriorPlanner::new(prior.clone(), SearchEngine::default())),
+            Box::new(EinetPlanner::new(&predictor, prior.clone(), SearchEngine::default())),
+            Box::new(RandomSearchPlanner::new(&predictor, prior, 20, 5)),
+        ];
+        for mut planner in planners {
+            let exact = rt.overall_accuracy(&tables, planner.as_mut());
+            let mut sum = 0.0;
+            for table in &tables {
+                let run = rt.trajectory(table, planner.as_mut());
+                let mut bounds = vec![0.0];
+                bounds.extend(run.checkpoints.iter().map(|c| c.0));
+                bounds.push(horizon);
+                for w in bounds.windows(2).filter(|w| w[0] < w[1]) {
+                    let mid = 0.5 * (w[0] + w[1]);
+                    if rt.run_sample(table, planner.as_mut(), mid).correct {
+                        sum += dist.mass_between(w[0], w[1], horizon);
+                    }
+                }
+            }
+            let cuts = sum / tables.len() as f64;
+            prop_assert!((exact - cuts).abs() < 1e-12,
+                "{}: exact {exact} vs midpoint cuts {cuts}", planner.name());
+        }
+    }
+
+    /// The fixed-plan closed form (Eq. 5 over per-exit correctness) and the
+    /// simulator under a static planner are the same score.
+    #[test]
+    fn plan_ground_truth_equals_static_planner_accuracy(
+        et in arb_profile(), tables in arb_tables(), plan in arb_plan(), dist in arb_dist(),
+    ) {
+        let truth = plan_ground_truth(&et, &dist, &tables, &plan);
+        let mut planner = StaticPlanner::new(plan, "fixed");
+        let sim = ElasticRuntime::new(&et, &dist).overall_accuracy(&tables, &mut planner);
+        prop_assert!((truth - sim).abs() < 1e-12, "closed form {truth} vs simulator {sim}");
     }
 }

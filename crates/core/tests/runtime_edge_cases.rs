@@ -1,7 +1,6 @@
 //! Failure-injection and edge-case tests for the elastic runtime and
 //! planners.
 
-use einet_core::eval::{overall_accuracy, EvalConfig};
 use einet_core::{
     AllExitsPlanner, ClassicPlanner, ConfidenceThresholdPlanner, EinetPlanner, ElasticRuntime,
     ExitPlan, PlanContext, Planner, PlannerDecision, ProfilePriorPlanner, SampleTable,
@@ -9,6 +8,8 @@ use einet_core::{
 };
 use einet_predictor::CsPredictor;
 use einet_profile::EtProfile;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 fn single_exit_profile() -> EtProfile {
     EtProfile::new(vec![2.0], vec![1.0]).unwrap()
@@ -79,13 +80,7 @@ fn einet_survives_degenerate_confidences() {
             label: 0,
         }];
         let mut planner = EinetPlanner::new(&predictor, vec![conf; 4], SearchEngine::default());
-        let acc = overall_accuracy(
-            &et,
-            &dist,
-            &tables,
-            &mut planner,
-            &EvalConfig { trials: 4, seed: 1 },
-        );
+        let acc = ElasticRuntime::new(&et, &dist).overall_accuracy(&tables, &mut planner);
         assert!((0.0..=1.0).contains(&acc));
     }
 }
@@ -157,34 +152,43 @@ fn replanning_cannot_rewrite_history() {
 }
 
 #[test]
-fn overall_accuracy_single_trial_and_many_trials_agree_in_expectation() {
-    let et = EtProfile::new(vec![1.0; 3], vec![0.5; 3]).unwrap();
-    let dist = TimeDistribution::Uniform;
+fn exact_accuracy_agrees_with_sampled_kills() {
+    // The paper's sampled metric, written out: draw kills, cut each run,
+    // count correct answers. With 4000 draws per sample it must land within
+    // four standard errors of the exact integral.
+    let et = EtProfile::new(vec![1.0, 0.7, 1.3], vec![0.5, 0.4, 0.6]).unwrap();
     let tables: Vec<SampleTable> = (0..50)
         .map(|s| SampleTable {
             confidences: vec![0.4, 0.6, 0.8],
-            predictions: vec![(s % 2) as u16, 0, 0],
+            predictions: vec![(s % 2) as u16, (s % 3 == 0) as u16, 0],
             label: 0,
         })
         .collect();
-    let mut p = AllExitsPlanner;
-    let few = overall_accuracy(
-        &et,
-        &dist,
-        &tables,
-        &mut p,
-        &EvalConfig { trials: 2, seed: 3 },
-    );
-    let many = overall_accuracy(
-        &et,
-        &dist,
-        &tables,
-        &mut p,
-        &EvalConfig {
-            trials: 50,
-            seed: 3,
-        },
-    );
-    // Same distribution — the estimates should be within sampling noise.
-    assert!((few - many).abs() < 0.15, "few {few} vs many {many}");
+    let draws = 4000;
+    for dist in [
+        TimeDistribution::Uniform,
+        TimeDistribution::gaussian(0.5),
+        TimeDistribution::piecewise(vec![3.0, 0.0, 1.0, 2.0]),
+    ] {
+        let rt = ElasticRuntime::new(&et, &dist);
+        let exact = rt.overall_accuracy(&tables, &mut AllExitsPlanner);
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut correct = 0usize;
+        for table in &tables {
+            for _ in 0..draws {
+                let kill = dist.sample(rt.horizon_ms(), &mut rng);
+                correct += usize::from(rt.run_sample(table, &mut AllExitsPlanner, kill).correct);
+            }
+        }
+        let n = (tables.len() * draws) as f64;
+        let sampled = correct as f64 / n;
+        // Bernoulli bound on the standard error: per-sample variances
+        // average to at most p(1-p).
+        let se = (exact * (1.0 - exact) / n).sqrt();
+        assert!(
+            (sampled - exact).abs() <= 4.0 * se,
+            "{}: sampled {sampled} vs exact {exact} (se {se})",
+            dist.id()
+        );
+    }
 }

@@ -6,8 +6,8 @@
 //! cargo run --release --example custom_model
 //! ```
 
-use einet::core::eval::{overall_accuracy, tables_from_profile, EvalConfig};
-use einet::core::{ClassicPlanner, EinetPlanner, SearchEngine, TimeDistribution};
+use einet::core::eval::tables_from_profile;
+use einet::core::{ClassicPlanner, EinetPlanner, ElasticRuntime, SearchEngine, TimeDistribution};
 use einet::data::{Dataset, SynthDigits};
 use einet::models::{build_branch, train_multi_exit, Block, BranchSpec, MultiExitNet, TrainConfig};
 use einet::predictor::{build_training_set, train_predictor, CsPredictor, PredictorTrainConfig};
@@ -76,15 +76,15 @@ fn main() {
     );
     let dist = TimeDistribution::gaussian(0.5); // bursty preemption profile
     let tables = tables_from_profile(&cs);
-    let cfg = EvalConfig { trials: 8, seed: 5 };
     let mut einet = EinetPlanner::new(
         &predictor,
         cs.exit_mean_confidence(),
         SearchEngine::default(),
     );
     let mut classic = ClassicPlanner;
-    let acc_einet = overall_accuracy(&et, &dist, &tables, &mut einet, &cfg);
-    let acc_classic = overall_accuracy(&et, &dist, &tables, &mut classic, &cfg);
+    let rt = ElasticRuntime::new(&et, &dist);
+    let acc_einet = rt.overall_accuracy(&tables, &mut einet);
+    let acc_classic = rt.overall_accuracy(&tables, &mut classic);
     println!(
         "under Gaussian preemption on a Pi-class device: einet {:.1}% vs classic {:.1}%",
         acc_einet * 100.0,

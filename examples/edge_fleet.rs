@@ -7,8 +7,10 @@
 //! cargo run --release --example edge_fleet
 //! ```
 
-use einet::core::eval::{overall_accuracy, tables_from_profile, EvalConfig};
-use einet::core::{AllExitsPlanner, EinetPlanner, ExitPlan, SearchEngine, TimeDistribution};
+use einet::core::eval::tables_from_profile;
+use einet::core::{
+    AllExitsPlanner, EinetPlanner, ElasticRuntime, ExitPlan, SearchEngine, TimeDistribution,
+};
 use einet::data::{Dataset, SynthObjects};
 use einet::models::{train_multi_exit, zoo, BranchSpec, TrainConfig};
 use einet::predictor::{build_training_set, train_predictor, CsPredictor, PredictorTrainConfig};
@@ -44,7 +46,6 @@ fn main() {
 
     // ET-profiles are regenerated per device class.
     let dist = TimeDistribution::Uniform;
-    let cfg = EvalConfig { trials: 5, seed: 1 };
     println!("\nper-platform plans (initial plan for the average sample) and accuracy:");
     for platform in EdgePlatform::all() {
         let et = EtProfile::from_cost_model(&net, platform);
@@ -54,8 +55,9 @@ fn main() {
         let (plan, score) = engine.search(&et, &dist, &avg_conf, 0, None);
         let mut einet = EinetPlanner::new(&predictor, cs.exit_mean_confidence(), engine);
         let mut all = AllExitsPlanner;
-        let acc_einet = overall_accuracy(&et, &dist, &tables, &mut einet, &cfg);
-        let acc_all = overall_accuracy(&et, &dist, &tables, &mut all, &cfg);
+        let rt = ElasticRuntime::new(&et, &dist);
+        let acc_einet = rt.overall_accuracy(&tables, &mut einet);
+        let acc_all = rt.overall_accuracy(&tables, &mut all);
         println!(
             "  {:<14} horizon {:>8.2} ms  plan {} ({} of {} exits, E={:.3})",
             platform.to_string(),

@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use einet::core::eval::{overall_accuracy, tables_from_profile, EvalConfig};
+use einet::core::eval::tables_from_profile;
 use einet::core::{
     AllExitsPlanner, ClassicPlanner, EinetPlanner, ElasticRuntime, SearchEngine, TimeDistribution,
 };
@@ -98,12 +98,11 @@ fn main() {
     }
 
     // 6. Overall accuracy vs the baselines of the paper.
-    let cfg = EvalConfig { trials: 5, seed: 3 };
     let mut classic = ClassicPlanner;
     let mut all_exits = AllExitsPlanner;
-    let acc_classic = overall_accuracy(&et, &dist, &tables, &mut classic, &cfg);
-    let acc_all = overall_accuracy(&et, &dist, &tables, &mut all_exits, &cfg);
-    let acc_einet = overall_accuracy(&et, &dist, &tables, &mut einet_planner, &cfg);
+    let acc_classic = runtime.overall_accuracy(&tables, &mut classic);
+    let acc_all = runtime.overall_accuracy(&tables, &mut all_exits);
+    let acc_einet = runtime.overall_accuracy(&tables, &mut einet_planner);
     println!("\noverall accuracy under uniform unpredictable exits:");
     println!("  classic single-exit : {:.1}%", acc_classic * 100.0);
     println!("  multi-exit, no skip : {:.1}%", acc_all * 100.0);

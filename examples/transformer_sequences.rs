@@ -7,8 +7,10 @@
 //! cargo run --release --example transformer_sequences
 //! ```
 
-use einet::core::eval::{overall_accuracy, tables_from_profile, EvalConfig};
-use einet::core::{AllExitsPlanner, ClassicPlanner, EinetPlanner, SearchEngine, TimeDistribution};
+use einet::core::eval::tables_from_profile;
+use einet::core::{
+    AllExitsPlanner, ClassicPlanner, EinetPlanner, ElasticRuntime, SearchEngine, TimeDistribution,
+};
 use einet::data::{Dataset, SynthSequences};
 use einet::models::{train_multi_exit, zoo, BranchSpec, OptimizerKind, TrainConfig};
 use einet::predictor::{build_training_set, train_predictor, CsPredictor, PredictorTrainConfig};
@@ -61,7 +63,6 @@ fn main() {
     );
     let dist = TimeDistribution::Uniform;
     let tables = tables_from_profile(&cs);
-    let cfg = EvalConfig { trials: 6, seed: 2 };
     let mut classic = ClassicPlanner;
     let mut all = AllExitsPlanner;
     let mut einet = EinetPlanner::new(
@@ -70,16 +71,17 @@ fn main() {
         SearchEngine::default(),
     );
     println!("\noverall accuracy under uniform unpredictable exits:");
+    let rt = ElasticRuntime::new(&et, &dist);
     println!(
         "  classic single-exit : {:.1}%",
-        overall_accuracy(&et, &dist, &tables, &mut classic, &cfg) * 100.0
+        rt.overall_accuracy(&tables, &mut classic) * 100.0
     );
     println!(
         "  multi-exit, no skip : {:.1}%",
-        overall_accuracy(&et, &dist, &tables, &mut all, &cfg) * 100.0
+        rt.overall_accuracy(&tables, &mut all) * 100.0
     );
     println!(
         "  EINet               : {:.1}%",
-        overall_accuracy(&et, &dist, &tables, &mut einet, &cfg) * 100.0
+        rt.overall_accuracy(&tables, &mut einet) * 100.0
     );
 }

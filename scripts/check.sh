@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, tests — and optionally the kernel speedup
+# Repo gate: formatting, lints, tests, the frozen benchmark harness's build
+# and unit tests — and optionally the kernel speedup
 # runner that refreshes results/bench_kernels.json and fails unless a
 # stacked convolution amortises over its batch and the serving planner
 # keeps its speed-up over its references, the tracing smoke
@@ -17,6 +18,7 @@
 # serve/serve_metrics.json) are tracked.
 #
 #   scripts/check.sh                # fmt --check + clippy -D warnings + tests
+#                                   # + benchmark harness build and tests
 #   scripts/check.sh --bench        # also run the gated bench runner (release build)
 #   scripts/check.sh --trace-smoke  # also run traced demos + trace_check
 #   scripts/check.sh --serve-smoke  # also run the TCP load gate, the serve
@@ -48,6 +50,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test"
 cargo test --workspace --quiet
+
+# benchmark/ is its own workspace that path-depends on the library crates as
+# an outside caller: building it here catches a public-API change that breaks
+# the harness.
+echo "== benchmark harness (build + unit tests)"
+cargo test --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
 
 if [ "$run_bench" -eq 1 ]; then
     echo "== bench runner (results/bench_kernels.json)"

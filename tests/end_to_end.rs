@@ -1,7 +1,7 @@
 //! End-to-end integration tests across every crate of the workspace:
 //! data → model → training → profiling → predictor → planner → runtime.
 
-use einet::core::eval::{overall_accuracy, tables_from_profile, EvalConfig};
+use einet::core::eval::tables_from_profile;
 use einet::core::{
     AllExitsPlanner, ClassicPlanner, EinetPlanner, ElasticRuntime, SearchEngine, TimeDistribution,
 };
@@ -50,14 +50,14 @@ fn full_pipeline_einet_beats_classic_and_is_deterministic() {
     let p = pipeline();
     let tables = tables_from_profile(&p.cs);
     let dist = TimeDistribution::Uniform;
-    let cfg = EvalConfig { trials: 6, seed: 1 };
     let prior = p.cs.exit_mean_confidence();
 
     let mut classic = ClassicPlanner;
-    let acc_classic = overall_accuracy(&p.et, &dist, &tables, &mut classic, &cfg);
+    let rt = ElasticRuntime::new(&p.et, &dist);
+    let acc_classic = rt.overall_accuracy(&tables, &mut classic);
 
     let mut einet = EinetPlanner::new(&p.predictor, prior.clone(), SearchEngine::default());
-    let acc_einet = overall_accuracy(&p.et, &dist, &tables, &mut einet, &cfg);
+    let acc_einet = rt.overall_accuracy(&tables, &mut einet);
 
     // The headline claim of the paper: elastic inference with a planner
     // massively beats the single-exit classic model under preemption.
@@ -68,7 +68,7 @@ fn full_pipeline_einet_beats_classic_and_is_deterministic() {
 
     // Same seeds → identical result.
     let mut einet2 = EinetPlanner::new(&p.predictor, prior, SearchEngine::default());
-    let again = overall_accuracy(&p.et, &dist, &tables, &mut einet2, &cfg);
+    let again = rt.overall_accuracy(&tables, &mut einet2);
     assert_eq!(acc_einet, again);
 }
 
@@ -77,15 +77,15 @@ fn einet_at_least_matches_no_skip_baseline() {
     let p = pipeline();
     let tables = tables_from_profile(&p.cs);
     let dist = TimeDistribution::Uniform;
-    let cfg = EvalConfig { trials: 6, seed: 2 };
     let mut all = AllExitsPlanner;
-    let acc_all = overall_accuracy(&p.et, &dist, &tables, &mut all, &cfg);
+    let rt = ElasticRuntime::new(&p.et, &dist);
+    let acc_all = rt.overall_accuracy(&tables, &mut all);
     let mut einet = EinetPlanner::new(
         &p.predictor,
         p.cs.exit_mean_confidence(),
         SearchEngine::default(),
     );
-    let acc_einet = overall_accuracy(&p.et, &dist, &tables, &mut einet, &cfg);
+    let acc_einet = rt.overall_accuracy(&tables, &mut einet);
     // Small slack: EINet should not lose to blindly executing everything.
     assert!(
         acc_einet >= acc_all - 0.03,
@@ -129,10 +129,11 @@ fn profiles_round_trip_through_disk() {
     assert_eq!(cs.exit_accuracy(), p.cs.exit_accuracy());
     // A loaded profile drives the evaluation identically.
     let dist = TimeDistribution::Uniform;
-    let cfg = EvalConfig { trials: 2, seed: 9 };
     let mut a = AllExitsPlanner;
-    let from_mem = overall_accuracy(&p.et, &dist, &tables_from_profile(&p.cs), &mut a, &cfg);
-    let from_disk = overall_accuracy(&et, &dist, &tables_from_profile(&cs), &mut a, &cfg);
+    let from_mem =
+        ElasticRuntime::new(&p.et, &dist).overall_accuracy(&tables_from_profile(&p.cs), &mut a);
+    let from_disk =
+        ElasticRuntime::new(&et, &dist).overall_accuracy(&tables_from_profile(&cs), &mut a);
     assert_eq!(from_mem, from_disk);
 }
 

@@ -1,7 +1,7 @@
 //! Cross-crate planner/runtime invariants on synthetic profiles (no
 //! training, fast).
 
-use einet::core::eval::{overall_accuracy, plan_expected, plan_ground_truth, EvalConfig};
+use einet::core::eval::{plan_expected, plan_ground_truth};
 use einet::core::{
     expectation, AllExitsPlanner, ClassicPlanner, ConfidenceThresholdPlanner, ElasticRuntime,
     ExitPlan, SampleTable, StaticPlanner, TimeDistribution,
@@ -43,13 +43,13 @@ fn cohort(n_exits: usize, n_samples: usize, seed: u64) -> (EtProfile, Vec<Sample
 fn any_multi_exit_plan_beats_classic_on_deep_horizons() {
     let (et, tables) = cohort(8, 60, 1);
     let dist = TimeDistribution::Uniform;
-    let cfg = EvalConfig { trials: 8, seed: 4 };
     let mut classic = ClassicPlanner;
     let mut all = AllExitsPlanner;
     let mut half = StaticPlanner::percent(8, 0.5);
-    let acc_classic = overall_accuracy(&et, &dist, &tables, &mut classic, &cfg);
-    let acc_all = overall_accuracy(&et, &dist, &tables, &mut all, &cfg);
-    let acc_half = overall_accuracy(&et, &dist, &tables, &mut half, &cfg);
+    let rt = ElasticRuntime::new(&et, &dist);
+    let acc_classic = rt.overall_accuracy(&tables, &mut classic);
+    let acc_all = rt.overall_accuracy(&tables, &mut all);
+    let acc_half = rt.overall_accuracy(&tables, &mut half);
     assert!(acc_all > acc_classic);
     assert!(acc_half > acc_classic);
 }
@@ -58,10 +58,6 @@ fn any_multi_exit_plan_beats_classic_on_deep_horizons() {
 fn expectation_orders_plans_like_ground_truth() {
     let (et, tables) = cohort(10, 80, 2);
     let dist = TimeDistribution::Uniform;
-    let cfg = EvalConfig {
-        trials: 20,
-        seed: 11,
-    };
     let plans = [
         ExitPlan::full(10),
         ExitPlan::static_percent(10, 0.5),
@@ -74,7 +70,7 @@ fn expectation_orders_plans_like_ground_truth() {
         .collect();
     let truth: Vec<f64> = plans
         .iter()
-        .map(|p| plan_ground_truth(&et, &dist, &tables, p, &cfg))
+        .map(|p| plan_ground_truth(&et, &dist, &tables, p))
         .collect();
     // Rank correlation between the metric and reality: the best and worst
     // plan by expectation must match the best and worst by ground truth.
